@@ -12,10 +12,11 @@ finite-trial bias, and the published numbers come from exactly such
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, xlogy
+from scipy.special import ndtr
 from scipy.stats import binom
 
-from .config import VariationProfile
+from .config import DramGeometry, VariationProfile
+from .entropy import binary_entropy
 
 __all__ = [
     "expected_bitline_entropy",
@@ -24,13 +25,8 @@ __all__ = [
 
 DEFAULT_TARGET_BLOCK = 11.07         # bits per 512-bit cache block, average
 DEFAULT_TARGET_MAX_SEGMENT = 1920.0  # bits per segment, best segment
-BLOCK_BITS = 512
-SEGMENT_BITS = 65536
-
-
-def _entropy_bits(p):
-    p = np.asarray(p, dtype=np.float64)
-    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / np.log(2.0)
+BLOCK_BITS = DramGeometry().cache_block_bits
+SEGMENT_BITS = DramGeometry().bitlines_per_row
 
 
 def expected_bitline_entropy(bias, trials=1000, offset_nodes=41):
@@ -48,10 +44,10 @@ def expected_bitline_entropy(bias, trials=1000, offset_nodes=41):
     z = bias[:, None] + np.sqrt(2.0) * x[None, :]
     p = ndtr(z)
     if trials is None:
-        h = _entropy_bits(p)
+        h = binary_entropy(p)
     else:
         k = np.arange(trials + 1)
-        h_of_k = _entropy_bits(k / trials)
+        h_of_k = binary_entropy(k / trials)
         pmf = binom.pmf(k[None, None, :], trials, p[:, :, None])
         h = pmf @ h_of_k
     out = (h * w[None, :]).sum(axis=1) / np.sqrt(np.pi)

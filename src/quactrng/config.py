@@ -2,7 +2,7 @@
 
 All configuration objects are plain dataclasses that validate their
 invariants on construction and round-trip through a JSON-compatible dict
-(see ``device_config_from_json`` / ``device_config_to_json``).
+(see ``DeviceConfig.from_json`` / ``DeviceConfig.to_json``).
 """
 
 from __future__ import annotations

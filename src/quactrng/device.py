@@ -28,6 +28,7 @@ __all__ = [
     "decoder_step",
     "charge_share_deviation",
     "sample_sense_amp",
+    "success_probability",
 ]
 
 PRECHARGE_LEVEL = 0.5
@@ -120,11 +121,12 @@ def charge_share_deviation(cells, first_row_weight, later_row_weight,
                            weight_multiplier, sa_offset, first_row=0):
     """Pre-sense bitline deviation from the precharge level.
 
-    ``cells`` is a (4, n) array of normalized charges, row-major in segment
-    order. The row activated first (``first_row``) contributes with
-    ``first_row_weight``; the other three with ``later_row_weight``. The
-    per-segment ``weight_multiplier`` scales the charge term only; the
-    per-bitline ``sa_offset`` is added afterwards.
+    ``cells`` holds the normalized charges of the open rows in row order:
+    a (rows, n) array, or a (rows,) vector of row fills that broadcasts
+    against the offsets. The row activated first (index ``first_row``)
+    contributes with ``first_row_weight``; the others with
+    ``later_row_weight``. The per-segment ``weight_multiplier`` scales the
+    charge term only; the per-bitline ``sa_offset`` is added afterwards.
     """
     cells = np.asarray(cells, dtype=np.float64)
     weights = np.full(cells.shape[0], later_row_weight, dtype=np.float64)
@@ -142,13 +144,13 @@ def sample_sense_amp(deviation, thermal_noise_sigma, temperature_adjust,
     """
     if thermal_noise_sigma <= 0:
         raise ValueError("thermal_noise_sigma must be > 0")
-    p_one = ndtr(np.asarray(deviation, dtype=np.float64)
-                 * temperature_adjust / thermal_noise_sigma)
+    p_one = success_probability(deviation, thermal_noise_sigma,
+                                temperature_adjust)
     return (np.asarray(rng_draw) < p_one).astype(np.uint8)
 
 
 def success_probability(deviation, thermal_noise_sigma, temperature_adjust=1.0):
-    """Analytic P(1) for a deviation; the sampling path must match this."""
+    """Analytic P(1) for a deviation; the sampling path thresholds it."""
     return ndtr(np.asarray(deviation, dtype=np.float64)
                 * temperature_adjust / thermal_noise_sigma)
 
@@ -245,6 +247,10 @@ class DeviceState:
             return np.full(self.geometry.bitlines_per_row, PRECHARGE_LEVEL,
                            dtype=np.float32)
         return data
+
+    def has_row(self, bank_group, bank, row):
+        """Whether the row has been written since the device was built."""
+        return (bank_group, bank, row) in self._cells
 
     def decoder(self, bank_group, bank):
         return self._decoders.get((bank_group, bank), DecoderState())

@@ -20,11 +20,10 @@ __all__ = [
     "run_quac",
     "copy_row",
     "execute_trace",
-    "parse_trace",
 ]
 
-DEFAULT_T1 = 2.5
-DEFAULT_T2 = 2.5
+DEFAULT_T1 = 2.5    # ns, ACT -> violating PRE
+DEFAULT_T2 = 2.5    # ns, violating PRE -> second ACT
 
 
 class TimingViolation(RuntimeError):
@@ -76,18 +75,14 @@ def _sense(device, bank_group, bank, active_rows, first_row, temperature, rng):
     """Resolve the sense amplifiers for the given open rows and restore the
     sensed values into every open row (all open rows track the row buffer).
     """
-    seg_index = min(active_rows) // 4
-    address = SegmentAddress(bank_group, bank, seg_index)
-    params = device.segment_params(address)
+    rows = sorted(active_rows)
+    params = device.segment_params(
+        SegmentAddress(bank_group, bank, rows[0] // 4))
     v = device.variation
-    cells = np.stack([device.read_cells(bank_group, bank, r)
-                      for r in sorted(active_rows)])
-    weights = np.full(len(active_rows), v.later_row_weight)
-    rows_sorted = sorted(active_rows)
-    if first_row in rows_sorted:
-        weights[rows_sorted.index(first_row)] = v.first_row_weight
-    deviation = params.weight_multiplier * (
-        weights @ (cells.astype(np.float64) - 0.5)) + params.sa_offset
+    cells = np.stack([device.read_cells(bank_group, bank, r) for r in rows])
+    deviation = charge_share_deviation(
+        cells, v.first_row_weight, v.later_row_weight,
+        params.weight_multiplier, params.sa_offset, rows.index(first_row))
     draws = rng.uniform(size=device.geometry.bitlines_per_row)
     bits = sample_sense_amp(deviation, v.thermal_noise_sigma,
                             device.temperature_adjust(temperature), draws)
@@ -139,8 +134,7 @@ def run_quac(device, segment, pattern=None, t1=DEFAULT_T1, t2=DEFAULT_T2,
     return bits
 
 
-def copy_row(device, bank_group, bank, src_row, dst_row, reserved_rows=(),
-             force=False):
+def copy_row(device, bank_group, bank, src_row, dst_row, reserved_rows=()):
     """In-DRAM row copy: destination charges become an exact copy of the
     source. Both rows must sit in the same subarray.
     """
@@ -148,7 +142,7 @@ def copy_row(device, bank_group, bank, src_row, dst_row, reserved_rows=(),
     if g.subarray_of_row(src_row) != g.subarray_of_row(dst_row):
         raise ConfigError(
             f"cross-subarray copy unsupported: rows {src_row} -> {dst_row}")
-    if dst_row in reserved_rows and not force:
+    if dst_row in reserved_rows:
         raise ConfigError(
             f"destination row {dst_row} is a reserved source row")
     device.write_row(bank_group, bank, dst_row,
@@ -228,33 +222,3 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
             raise ValueError(f"unknown command kind {cmd.kind!r}")
 
     return result
-
-
-def parse_trace(lines):
-    """Parse a line-oriented trace: ``<ns> <KIND> <bg> <bank> <args...>``.
-
-    Blank lines and ``#`` comments are skipped.
-    """
-    commands = []
-    for ln, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 4:
-            raise ValueError(f"trace line {ln}: need '<ns> <KIND> <bg> <bank> ...'")
-        time, kind = float(parts[0]), parts[1].upper()
-        bg, bank = int(parts[2]), int(parts[3])
-        rest = parts[4:]
-        if kind == "WRITE_ROW":
-            args = (int(rest[0]), int(rest[1]))
-        elif kind in ("ACT", "READ_BLOCK"):
-            args = (int(rest[0]),)
-        elif kind == "COPY_ROW":
-            args = (int(rest[0]), int(rest[1]))
-        elif kind == "PRE":
-            args = ()
-        else:
-            raise ValueError(f"trace line {ln}: unknown command {kind}")
-        commands.append(Command(time, kind, bg, bank, args))
-    return commands

@@ -10,14 +10,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, xlogy
+from scipy.special import xlogy
 
 from .config import DataPattern, SegmentAddress
-from .device import success_probability
+from .device import charge_share_deviation, success_probability
 from .engine import run_quac
 from .rng import TAG_EXPERIMENT, stream
 
 __all__ = [
+    "binary_entropy",
     "bitline_entropy",
     "EntropyMap",
     "characterize",
@@ -28,9 +29,17 @@ __all__ = [
 ]
 
 
+def binary_entropy(p):
+    """H(p) = -p*log2(p) - (1-p)*log2(1-p) in bits, elementwise, with
+    0*log2(0) = 0.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / np.log(2.0)
+
+
 def bitline_entropy(ones_count, trials):
     """Shannon entropy (bits) of a bitline that produced ``ones_count`` ones
-    in ``trials`` trials: H = -p0*log2(p0) - p1*log2(p1), with 0*log2(0) = 0.
+    in ``trials`` trials: the plug-in estimate H(ones_count / trials).
 
     Accepts arrays of counts for vectorized evaluation.
     """
@@ -39,16 +48,8 @@ def bitline_entropy(ones_count, trials):
         raise ValueError("ones_count must be in [0, trials]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p1 = ones / trials
-    p0 = 1.0 - p1
-    h = -(xlogy(p0, p0) + xlogy(p1, p1)) / np.log(2.0)
+    h = binary_entropy(ones / trials)
     return h if h.ndim else float(h)
-
-
-def _entropy_of_p(p):
-    """Analytic H(p) in bits, elementwise."""
-    p = np.asarray(p, dtype=np.float64)
-    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / np.log(2.0)
 
 
 @dataclass
@@ -127,11 +128,9 @@ def _pattern_probabilities(device, address, pattern, temperature):
     """Analytic per-bitline P(1) for a fixed fill pattern on one segment."""
     v = device.variation
     params = device.segment_params(address)
-    fills = np.asarray(pattern.fills, dtype=np.float64)
-    weights = np.full(4, v.later_row_weight)
-    weights[0] = v.first_row_weight
-    shared = float(weights @ (fills - 0.5))
-    deviation = params.weight_multiplier * shared + params.sa_offset
+    deviation = charge_share_deviation(
+        pattern.fills, v.first_row_weight, v.later_row_weight,
+        params.weight_multiplier, params.sa_offset)
     return success_probability(deviation, v.thermal_noise_sigma,
                                device.temperature_adjust(temperature))
 
@@ -166,7 +165,7 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
         device.validate_address(address)
         if method == "analytic":
             p = _pattern_probabilities(device, address, pattern, temperature)
-            return _entropy_of_p(p).astype(np.float32)
+            return binary_entropy(p).astype(np.float32)
         if method == "binomial":
             p = _pattern_probabilities(device, address, pattern, temperature)
             rng = stream(device.variation.master_seed, TAG_EXPERIMENT,

@@ -9,7 +9,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .config import TimingParams
+from .config import DramGeometry, TimingParams
+from .engine import DEFAULT_T1, DEFAULT_T2
+from .pipeline import WORD_BITS
 
 __all__ = [
     "HashParams",
@@ -31,13 +33,10 @@ BASELINE_MODES = ("drange-basic", "drange-enhanced",
 TCCD_L = 5.0          # same-bank-group column-to-column spacing
 TWR = 15.0            # write recovery
 TRCD_REDUCED = 2.5    # reduced activation-to-read delay (failure-mode reads)
-T1 = 2.5              # ACT -> violating PRE
-T2 = 2.5              # violating PRE -> second ACT
 COLUMN_FLOOR = 0.9    # minimum column access spacing (array-limited)
 CHANNELS = 4
 
-WORD_BITS = 256
-READ_BLOCKS = 128     # cache blocks read out per row
+READ_BLOCKS = DramGeometry().blocks_per_row   # cache blocks read out per row
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,13 @@ def _tccd(t):
 
 def _copy_time(t):
     """One in-DRAM row copy: the violating ACT-PRE-ACT plus full restore."""
-    return T1 + T2 + t.tRAS + t.tRP
+    return DEFAULT_T1 + DEFAULT_T2 + t.tRAS + t.tRP
 
 
 def _quac_core(t, banks):
     """Quadruple-activation core, interleaved over bank groups."""
     spread = (banks - 1) * t.tRRD_S if banks > 1 else 0.0
-    return T1 + T2 + spread + t.tRCD
+    return DEFAULT_T1 + DEFAULT_T2 + spread + t.tRCD
 
 
 def schedule(mode, timings=None, sib=7, hash_params=None):
@@ -138,7 +137,7 @@ def schedule(mode, timings=None, sib=7, hash_params=None):
     # first 256-bit word: init one bank, activate, read enough blocks to
     # cover one hash input, then the pipelined hash latency
     blocks_per_word = -(-READ_BLOCKS // sib)   # ceil
-    latency = init_first + (T1 + T2 + t.tRCD) \
+    latency = init_first + (DEFAULT_T1 + DEFAULT_T2 + t.tRCD) \
         + blocks_per_word * col + t.CL + hp.latency_ns
 
     report = ScheduleReport(mode=mode, iteration_ns=iteration, sib=sib,
@@ -171,7 +170,7 @@ def baseline(mode, timings=None, hash_params=None):
     # reduced-tRCD read cycle of one cache block
     cycle = TRCD_REDUCED + col + t.tRP
     # one failure-mode row pass: activate under reduced timing, read back
-    fail = T2 + t.tRCD + t.slot_time
+    fail = DEFAULT_T2 + t.tRCD + t.slot_time
 
     if mode == "drange-basic":
         # 4 bits/block x 4 bank groups per cycle, no post-processing

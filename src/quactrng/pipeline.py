@@ -96,9 +96,9 @@ class ReservedLayout:
         """Write the source-row fills if they have not been written yet."""
         zeros, ones = self.source_rows(device.geometry, segment_index)
         for bg, bank in self.banks:
-            if (bg, bank, zeros) not in device._cells:
+            if not device.has_row(bg, bank, zeros):
                 device.write_row(bg, bank, zeros, 0)
-            if (bg, bank, ones) not in device._cells:
+            if not device.has_row(bg, bank, ones):
                 device.write_row(bg, bank, ones, 1)
 
 
@@ -177,7 +177,9 @@ def stream_bits(device, layout, plan, n_bits, buffer=None, temperature=50.0,
 
     Whenever the buffer drops below its refill threshold, full iterations
     run until the buffer is full again (each refill is recorded in
-    ``buffer.events``). Returns (bits, next_iteration).
+    ``buffer.events``). Words leave in the order they were generated: a
+    word that finds the buffer full pushes out the oldest buffered word.
+    Returns (bits, next_iteration).
     """
     if n_bits <= 0:
         raise ValueError("n_bits must be > 0")
@@ -197,10 +199,10 @@ def stream_bits(device, layout, plan, n_bits, buffer=None, temperature=50.0,
                 full = False
                 for w in words:
                     if not buffer.push(w):
-                        # buffer full: surplus words of this iteration spill
-                        # straight to the output
-                        out.append(w)
+                        # buffer full: the oldest word spills to the output
+                        out.append(buffer.pop())
                         produced += WORD_BITS
+                        buffer.push(w)
                         full = True
                 if full or not buffer.needs_refill:
                     break

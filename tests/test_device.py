@@ -223,6 +223,9 @@ def test_rows_read_back_written_values():
     assert dev.read_cells(0, 0, 12).min() == 1.0
     # uninitialized rows float at the precharge level
     assert dev.read_cells(0, 0, 13).max() == 0.5
+    assert dev.has_row(0, 0, 12)
+    assert not dev.has_row(0, 0, 13)
+    assert not dev.fork().has_row(0, 0, 12)
 
 
 def test_validate_address_bounds():

@@ -6,7 +6,7 @@ import pytest
 from quactrng.config import ConfigError, SegmentAddress, TimingParams
 from quactrng.device import build_device
 from quactrng.engine import (Command, TimingViolation, copy_row,
-                             execute_trace, parse_trace, run_quac)
+                             execute_trace, run_quac)
 from quactrng import calibrated_variation
 
 
@@ -83,7 +83,6 @@ def test_copy_row_reserved_guard(device):
     device.write_row(0, 0, 8, 1)
     with pytest.raises(ConfigError, match="reserved source row"):
         copy_row(device, 0, 0, 8, 10, reserved_rows=(10,))
-    copy_row(device, 0, 0, 8, 10, reserved_rows=(10,), force=True)
 
 
 def test_execute_trace_quac_core(device):
@@ -155,32 +154,6 @@ def test_single_row_activation_reads_back_written_data(device):
             Command(t.tRCD, "READ_BLOCK", 0, 0, (5,))]
     result = execute_trace(device, cmds)
     np.testing.assert_array_equal(result.payloads[0], np.ones(512, np.uint8))
-
-
-def test_parse_trace_roundtrip():
-    lines = [
-        "# initialization",
-        "0.0 WRITE_ROW 0 0 12 0",
-        "",
-        "400.0 ACT 0 0 12",
-        "402.5 PRE 0 0",
-        "405.0 ACT 0 0 15   # second activation",
-        "420.0 READ_BLOCK 0 0 7",
-        "500.0 COPY_ROW 1 2 8 9",
-    ]
-    cmds = parse_trace(lines)
-    assert len(cmds) == 6
-    assert cmds[0] == Command(0.0, "WRITE_ROW", 0, 0, (12, 0))
-    assert cmds[2] == Command(402.5, "PRE", 0, 0, ())
-    assert cmds[4] == Command(420.0, "READ_BLOCK", 0, 0, (7,))
-    assert cmds[5] == Command(500.0, "COPY_ROW", 1, 2, (8, 9))
-
-
-def test_parse_trace_rejects_garbage():
-    with pytest.raises(ValueError, match="unknown command"):
-        parse_trace(["0.0 FROB 0 0 1"])
-    with pytest.raises(ValueError, match="trace line 1"):
-        parse_trace(["0.0 ACT"])
 
 
 def test_trace_result_serialization(device):

@@ -158,6 +158,18 @@ def test_spatial_profile_mid_segment_peak():
     assert 128 / 3 <= peak_block <= 2 * 128 / 3
 
 
+@pytest.mark.parametrize("method", ["analytic", "exact"])
+def test_integer_row_weights_match_float(method):
+    """A profile loaded from JSON may carry integer weights; they must
+    not truncate the first-row weight in the charge-sharing kernel.
+    """
+    maps = [characterize(build_device(variation=VariationProfile(
+                first_row_weight=3.1526, later_row_weight=later)),
+            "0111", [3], trials=2, method=method).bitline
+            for later in (1, 1.0)]
+    np.testing.assert_array_equal(maps[0], maps[1])
+
+
 def test_spatial_profile_needs_two_segments(device):
     emap = characterize(device, "0111", [0], trials=100)
     with pytest.raises(ValueError, match="at least 2 segments"):

@@ -195,6 +195,22 @@ def test_stream_refill_cycles_logged(device, plan):
     assert len(refills) >= 2
 
 
+@pytest.mark.parametrize("capacity_bits", [256, 1024, 4096, None])
+def test_stream_preserves_production_order(device, plan, capacity_bits):
+    """The buffer is FIFO: with or without spills, the stream is the
+    generated words in the order the iterations produced them.
+    """
+    buf = RngBuffer() if capacity_bits is None else RngBuffer(capacity_bits)
+    n_bits = 20_000
+    bits, next_iteration = stream_bits(device.fork(), ReservedLayout(), plan,
+                                       n_bits, buffer=buf)
+    replay = device.fork()
+    words = [w for i in range(next_iteration)
+             for w in generate_iteration(replay, ReservedLayout(), plan,
+                                         50.0, i)]
+    np.testing.assert_array_equal(bits, np.concatenate(words)[:n_bits])
+
+
 def test_stream_deterministic(device, plan):
     a, _ = stream_bits(device.fork(), ReservedLayout(), plan, 20_000)
     b, _ = stream_bits(device.fork(), ReservedLayout(), plan, 20_000)
