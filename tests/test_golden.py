@@ -14,9 +14,10 @@ import pytest
 from quactrng import build_device, calibrated_variation
 from quactrng.calibrate import expected_bitline_entropy
 from quactrng.engine import Command, execute_trace
-from quactrng.entropy import build_sib_plan, characterize
+from quactrng.entropy import (build_sib_plan, characterize,
+                              default_temperature_bins)
 from quactrng.perf import baseline, schedule
-from quactrng.pipeline import ReservedLayout, pack_bits, stream_bits
+from quactrng.pipeline import ReservedLayout, RngBuffer, pack_bits, stream_bits
 
 
 def sha256_hex(data):
@@ -37,6 +38,30 @@ def test_golden_stream(device):
     assert next_iteration == 148
     assert sha256_hex(pack_bits(bits)) == (
         "f689700f9f676b5f6c946c63e4b96492d3c748faee52d6d4dc86027658ebe391")
+
+
+# (bits, temperature) per request: the temperature moves within a bin and
+# crosses between the two bins in both directions.
+DRIFT_REQUESTS = [(40000, 44.0), (40000, 47.5), (40000, 44.0), (60000, 53.0),
+                  (30000, 58.5), (50000, 45.0), (40000, 55.0)]
+
+
+def test_golden_stream_drift(device):
+    bins = default_temperature_bins(40.0, 60.0, 2)
+    maps = [characterize(device, "0111", range(start, start + 512, 32),
+                         temperature=(lo + hi) / 2.0)
+            for start, (lo, hi) in zip((0, 512), bins)]
+    plan = build_sib_plan(maps, bins)
+    assert [e["segment"].segment_index for e in plan.entries] == [352, 928]
+    layout, buffer = ReservedLayout(), RngBuffer()
+    out, iteration = [], 0
+    for n_bits, temperature in DRIFT_REQUESTS:
+        bits, iteration = stream_bits(device, layout, plan, n_bits, buffer,
+                                      temperature, iteration)
+        out.append(bits)
+    assert iteration == 44
+    assert sha256_hex(pack_bits(np.concatenate(out))) == (
+        "9f462d6e79967ad237bd3c55c5d849ffc1c10471b4186340c3fe32e43a564b2f")
 
 
 @pytest.mark.parametrize("method,trials,digest", [
