@@ -135,22 +135,20 @@ def charge_share_deviation(cells, first_row_weight, later_row_weight,
     return weight_multiplier * shared + sa_offset
 
 
-def sample_sense_amp(deviation, thermal_noise_sigma, temperature_adjust,
-                     rng_draw):
-    """Resolve deviations to bits: P(1) = Phi(adjusted deviation / sigma).
+def sample_sense_amp(p_one, rng_draw):
+    """Resolve the sense amplifiers to bits: 1 where the draw is below P(1).
 
+    ``p_one`` is the per-bitline P(1) from :func:`success_probability`;
     ``rng_draw`` is an array of uniforms from the experiment stream, one
-    per bitline (a scalar works for a single bitline).
+    per bitline (scalars work for a single bitline).
     """
-    if thermal_noise_sigma <= 0:
-        raise ValueError("thermal_noise_sigma must be > 0")
-    p_one = success_probability(deviation, thermal_noise_sigma,
-                                temperature_adjust)
     return (np.asarray(rng_draw) < p_one).astype(np.uint8)
 
 
 def success_probability(deviation, thermal_noise_sigma, temperature_adjust=1.0):
-    """Analytic P(1) for a deviation; the sampling path thresholds it."""
+    """P(1) = Phi(adjusted deviation / sigma); the sampling path thresholds it."""
+    if thermal_noise_sigma <= 0:
+        raise ValueError("thermal_noise_sigma must be > 0")
     return ndtr(np.asarray(deviation, dtype=np.float64)
                 * temperature_adjust / thermal_noise_sigma)
 
@@ -183,7 +181,10 @@ class DeviceState:
         self.timings = timings
         self.variation = variation
         self._param_cache = {}
-        self._cells = {}     # (bg, bank, row) -> float32 array of charges
+        # (bg, bank, row) -> fill level (float) or read-only float32 array
+        self._cells = {}
+        # engine-owned memo of constant-fill sensing; ``fork`` starts empty
+        self.sense_cache = {}
         self._decoders = {}  # (bg, bank) -> DecoderState
         traits = stream(variation.master_seed, TAG_CHIP_TRAITS)
         # +1: entropy rises with temperature (deviation shrinks); -1: falls.
@@ -230,22 +231,39 @@ class DeviceState:
                 f"segment address {address} outside device geometry")
 
     def write_row(self, bank_group, bank, row, value):
-        """Write a full row; ``value`` is a fill bit or a per-bitline array."""
-        n = self.geometry.bitlines_per_row
+        """Write a full row; ``value`` is a fill level or a per-bitline array.
+
+        A fill is kept as a scalar. An array is kept as a read-only float32
+        copy, except that a read-only float32 array (a row from
+        :meth:`read_cells`, or a sensed row) is kept as it is, so every row
+        it is written to shares it.
+        """
         if np.isscalar(value):
-            data = np.full(n, float(value), dtype=np.float32)
-        else:
-            data = np.asarray(value, dtype=np.float32).copy()
-            if data.shape != (n,):
-                raise ValueError(f"row data must have shape ({n},)")
+            self._cells[(bank_group, bank, row)] = float(value)
+            return
+        n = self.geometry.bitlines_per_row
+        shared = isinstance(value, np.ndarray) and value.dtype == np.float32 \
+            and not value.flags.writeable
+        data = value if shared else np.array(value, dtype=np.float32)
+        if data.shape != (n,):
+            raise ValueError(f"row data must have shape ({n},)")
+        data.flags.writeable = False
         self._cells[(bank_group, bank, row)] = data
 
+    def row_fill(self, bank_group, bank, row):
+        """The row's constant fill level (the precharge level for an
+        unwritten row), or None when it holds a per-bitline array."""
+        data = self._cells.get((bank_group, bank, row), PRECHARGE_LEVEL)
+        return data if isinstance(data, float) else None
+
     def read_cells(self, bank_group, bank, row):
-        """Current charges of a row (uninitialized rows read precharge level)."""
-        data = self._cells.get((bank_group, bank, row))
-        if data is None:
-            return np.full(self.geometry.bitlines_per_row, PRECHARGE_LEVEL,
-                           dtype=np.float32)
+        """Current charges of a row as a read-only float32 array
+        (uninitialized rows read precharge level)."""
+        fill = self.row_fill(bank_group, bank, row)
+        if fill is None:
+            return self._cells[(bank_group, bank, row)]
+        data = np.full(self.geometry.bitlines_per_row, fill, dtype=np.float32)
+        data.flags.writeable = False
         return data
 
     def has_row(self, bank_group, bank, row):

@@ -221,7 +221,7 @@ def write_binary(path, bits):
 
 def write_ascii(path, bits):
     """Write a bitstream as ASCII '0'/'1' characters (external test suites)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    with open(path, "w") as fh:
-        fh.write("".join("1" if b else "0" for b in bits))
-        fh.write("\n")
+    digits = (np.asarray(bits, dtype=np.uint8) != 0).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((digits + ord("0")).tobytes())
+        fh.write(b"\n")

@@ -152,14 +152,15 @@ def test_charge_share_offset_and_multiplier():
 def test_sample_sense_amp_matches_analytic_probability():
     rng = np.random.default_rng(7)
     dev = np.full(200000, 0.01)
-    bits = sample_sense_amp(dev, 0.02, 1.0, rng.uniform(size=dev.size))
+    bits = sample_sense_amp(success_probability(dev, 0.02),
+                            rng.uniform(size=dev.size))
     p = success_probability(0.01, 0.02)
     assert bits.mean() == pytest.approx(p, abs=3 / np.sqrt(dev.size))
 
 
-def test_sample_sense_amp_rejects_zero_sigma():
+def test_success_probability_rejects_zero_sigma():
     with pytest.raises(ValueError, match="thermal_noise_sigma"):
-        sample_sense_amp(np.zeros(4), 0.0, 1.0, np.zeros(4))
+        success_probability(np.zeros(4), 0.0)
 
 
 @given(st.floats(-0.2, 0.2), st.floats(0.001, 0.1))
@@ -226,6 +227,24 @@ def test_rows_read_back_written_values():
     assert dev.has_row(0, 0, 12)
     assert not dev.has_row(0, 0, 13)
     assert not dev.fork().has_row(0, 0, 12)
+
+
+def test_rows_are_read_only_and_not_aliased():
+    dev = build_device()
+    n = dev.geometry.bitlines_per_row
+    source = np.zeros(n, dtype=np.float32)
+    dev.write_row(0, 0, 12, 1)
+    dev.write_row(0, 0, 13, source)
+    source[:] = 1.0     # the device keeps its own copy
+    assert dev.read_cells(0, 0, 13).max() == 0.0
+    for row in (12, 13, 14):    # fill, per-bitline array, unwritten
+        before = dev.read_cells(0, 0, row).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            dev.read_cells(0, 0, row)[:] = 0.25
+        np.testing.assert_array_equal(dev.read_cells(0, 0, row), before)
+    assert dev.row_fill(0, 0, 12) == 1.0
+    assert dev.row_fill(0, 0, 13) is None
+    assert dev.row_fill(0, 0, 14) == 0.5
 
 
 def test_validate_address_bounds():

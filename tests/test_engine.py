@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quactrng.config import ConfigError, SegmentAddress, TimingParams
+from quactrng.config import (ConfigError, DramGeometry, SegmentAddress,
+                             TimingParams)
 from quactrng.device import build_device
-from quactrng.engine import (Command, TimingViolation, copy_row,
+from quactrng.engine import (SENSE_CACHE_ENTRIES, Command, TimingViolation,
+                             copy_row,
                              execute_trace, run_quac)
 from quactrng import calibrated_variation
 
@@ -165,3 +169,115 @@ def test_trace_result_serialization(device):
     assert d["reads"] == 1
     assert d["payload_bits"] == 512
     assert d["outcomes"][0]["active_rows"] == [0]
+
+
+# ---------------------------------------------------------------------------
+# constant-fill sensing cache
+# ---------------------------------------------------------------------------
+
+SMALL = DramGeometry(bank_groups=2, banks_per_group=1, subarrays_per_bank=2,
+                     segments_per_bank=8, bitlines_per_row=8192)
+
+# A row spec: None keeps the row as it is (unwritten on first use), a
+# number writes that fill, an ("array", seed) tuple writes per-bitline bits.
+row_specs = st.one_of(
+    st.none(), st.sampled_from([0, 1, 0.5]),
+    st.tuples(st.just("array"), st.integers(0, 2 ** 16)))
+quac_steps = st.tuples(
+    st.integers(0, 3),                       # segment
+    st.integers(0, 1),                       # bank group
+    st.tuples(row_specs, row_specs, row_specs, row_specs),
+    st.integers(0, 1),                       # first_row
+    st.one_of(st.sampled_from([30.0, 50.0, 90.0]), st.floats(30.0, 90.0)),
+    st.integers(0, 3),                       # experiment seed
+)
+
+
+def _row_value(spec, n):
+    if isinstance(spec, tuple):
+        return np.random.default_rng(spec[1]).integers(0, 2, n).astype(float)
+    return spec
+
+
+def _fresh_copy(device, bank_group, rows):
+    """A fresh fork holding the same contents in ``rows``."""
+    fresh = device.fork()
+    for row in rows:
+        if device.has_row(bank_group, 0, row):
+            fill = device.row_fill(bank_group, 0, row)
+            fresh.write_row(bank_group, 0, row,
+                            device.read_cells(bank_group, 0, row)
+                            if fill is None else fill)
+    return fresh
+
+
+FILLS_0111 = (0, 1, 1, 1)
+
+
+@given(st.lists(quac_steps, min_size=1, max_size=8))
+@example([(1, 0, (None,) * 4, 0, 50.0, 0)] * 2)           # unwritten rows
+@example([(2, 1, FILLS_0111, 0, 50.0, 1),                  # repeat, then
+          (2, 1, FILLS_0111, 0, 50.0, 2),                  # new temperature,
+          (2, 1, FILLS_0111, 0, 90.0, 2),                  # other first row,
+          (2, 1, FILLS_0111, 1, 90.0, 2),                  # back again
+          (2, 1, FILLS_0111, 0, 50.0, 3)])
+@settings(max_examples=40, deadline=None)
+def test_cached_sensing_matches_fresh_device(steps):
+    device = build_device(SMALL, variation=calibrated_variation())
+    n = SMALL.bitlines_per_row
+    for segment, bank_group, specs, first_row, temperature, seed in steps:
+        address = SegmentAddress(bank_group, 0, segment)
+        for row, spec in zip(address.rows, specs):
+            if spec is not None:
+                device.write_row(bank_group, 0, row, _row_value(spec, n))
+        fresh = _fresh_copy(device, bank_group, address.rows)
+        kwargs = dict(experiment_seed=seed, temperature=temperature,
+                      first_row=first_row)
+        np.testing.assert_array_equal(run_quac(device, address, **kwargs),
+                                      run_quac(fresh, address, **kwargs))
+        assert len(device.sense_cache) <= SENSE_CACHE_ENTRIES
+
+
+def test_per_bitline_write_is_not_served_from_cache(device):
+    n = device.geometry.bitlines_per_row
+    cached = run_quac(device, SEG, pattern="0111", experiment_seed=2)
+    # the same fills, but row 0 rewritten per bitline before the second QUAC
+    for row, fill in zip(SEG.rows, FILLS_0111):
+        device.write_row(0, 0, row, fill)
+    device.write_row(0, 0, SEG.rows[0], np.ones(n))
+    fresh = _fresh_copy(device, 0, SEG.rows)
+    bits = run_quac(device, SEG, experiment_seed=2)
+    np.testing.assert_array_equal(bits, run_quac(fresh, SEG, experiment_seed=2))
+    assert bits.mean() > 0.99 and cached.mean() < 0.05
+
+
+def test_trace_second_act_senses_restored_rows(device):
+    t = device.timings
+    cmds = [
+        Command(0.0, "WRITE_ROW", 0, 0, (12, 0)),
+        Command(100.0, "WRITE_ROW", 0, 0, (13, 1)),
+        Command(200.0, "WRITE_ROW", 0, 0, (14, 1)),
+        Command(300.0, "WRITE_ROW", 0, 0, (15, 1)),
+        Command(400.0, "ACT", 0, 0, (12,)),
+        Command(402.5, "PRE", 0, 0),
+        Command(405.0, "ACT", 0, 0, (15,)),
+        Command(405.0 + t.tRCD, "READ_BLOCK", 0, 0, (0,)),
+        Command(500.0, "PRE", 0, 0),
+    ]
+    expected = execute_trace(device.fork(), cmds).payload_bits()
+    # the segment's "0111" fills and the first ACT's lone row are cached
+    run_quac(device, SEG, pattern="0111")
+    for _ in range(2):
+        got = execute_trace(device, cmds).payload_bits()
+        np.testing.assert_array_equal(got, expected)
+    assert all(device.row_fill(0, 0, row) is None for row in SEG.rows)
+
+
+def test_sensed_row_is_shared_and_read_only(device):
+    run_quac(device, SEG, pattern="0111")
+    rows = [device.read_cells(0, 0, row) for row in SEG.rows]
+    assert all(r is rows[0] for r in rows)
+    before = rows[0].copy()
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0][:] = 1.0
+    np.testing.assert_array_equal(device.read_cells(0, 0, SEG.rows[1]), before)

@@ -225,3 +225,22 @@ def test_file_outputs(tmp_path):
     write_ascii(txt_path, bits)
     assert bin_path.read_bytes() == bytes([0b10110001, 0b10000000])
     assert txt_path.read_text().strip() == "101100011"
+
+
+def _joined_ascii(bits):
+    """The character-by-character export ``write_ascii`` must match."""
+    return ("".join("1" if b else "0" for b in bits) + "\n").encode()
+
+
+@pytest.mark.parametrize("bits", [
+    pytest.param(np.random.default_rng(3).integers(0, 2, 10_001,
+                                                   dtype=np.uint8), id="random"),
+    pytest.param(np.zeros(4096, dtype=np.uint8), id="zeros"),
+    pytest.param(np.ones(4096, dtype=np.uint8), id="ones"),
+    pytest.param(np.array([0], dtype=np.uint8), id="single-0"),
+    pytest.param(np.array([1], dtype=np.uint8), id="single-1"),
+])
+def test_write_ascii_matches_character_join(tmp_path, bits):
+    path = tmp_path / "bits.txt"
+    write_ascii(path, bits)
+    assert path.read_bytes() == _joined_ascii(bits)
