@@ -104,7 +104,7 @@ def _success_probability(device, bank_group, bank, rows, first, temperature):
             v.thermal_noise_sigma, adjust)
     cache = device.sense_cache
     key = (bank_group, bank, tuple(rows), fills, first)
-    entry = cache.pop(key, None)
+    entry = cache.pop(key, None)     # [deviation, adjust, P(1)]
     if entry is None:
         if len(cache) >= SENSE_CACHE_ENTRIES:
             del cache[next(iter(cache))]
