@@ -149,11 +149,6 @@ def _cmd_plan(args):
     return 0
 
 
-def _load_plan(path):
-    with open(path) as fh:
-        return SibPlan.from_dict(json.load(fh))
-
-
 def _default_plan(device, temperature):
     emap = characterize(device, "0111", range(1024), trials=1000,
                         temperature=temperature)
@@ -163,7 +158,7 @@ def _default_plan(device, temperature):
 def _cmd_generate(args):
     config = _load_config(args)
     device = build_device(config)
-    plan = _load_plan(args.plan) if args.plan \
+    plan = SibPlan.from_json(args.plan) if args.plan \
         else _default_plan(device, args.temperature)
     layout = ReservedLayout()
     bits, iterations = stream_bits(device, layout, plan, args.bits,

@@ -8,7 +8,7 @@ invariants on construction and round-trip through a JSON-compatible dict
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict, fields, replace
 
 __all__ = [
     "ConfigError",
@@ -116,11 +116,7 @@ class TimingParams:
 
     def scaled_to(self, transfer_rate):
         """Same fixed latencies at a different bus transfer rate."""
-        return TimingParams(tRAS=self.tRAS, tRP=self.tRP, tRCD=self.tRCD,
-                            tRRD_S=self.tRRD_S, tRRD_L=self.tRRD_L, CL=self.CL,
-                            transfer_rate=transfer_rate,
-                            burst_length=self.burst_length,
-                            command_slot=self.command_slot)
+        return replace(self, transfer_rate=transfer_rate)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,10 @@ __all__ = [
 
 PRECHARGE_LEVEL = 0.5
 REFERENCE_TEMP_C = 50.0
+# Entries of a device's constant-fill sensing cache. Each holds one float64
+# P(1) row: 512 KiB at 64K bitlines, so 4 MiB when full. Eight cover the
+# pipeline's four banks in two temperature bins.
+SENSE_CACHE_ENTRIES = 8
 
 
 class DecoderError(RuntimeError):
@@ -57,7 +61,6 @@ class DecoderState:
     a1b: bool = False
     active_master_wordline: int | None = None
     wordline_enable_time: float | None = None
-    precharge_issue_time: float | None = None
 
     def select_lines(self):
         return (self.a0b and self.a1b, self.a0 and self.a1b,
@@ -78,8 +81,8 @@ def decoder_step(state, command, now, timings):
     """Apply one command to the decoder; returns (new_state, active_row_set).
 
     ``command`` is ``("ACT", row)`` or ``("PRE",)``. A PRE that arrives
-    before tRAS has elapsed fails to reset the latches (it only records
-    its issue time); a subsequent ACT then adds its latches to the ones
+    before tRAS has elapsed fails to reset the latches (the state is
+    unchanged); a subsequent ACT then adds its latches to the ones
     already set, which is what opens all four rows of a segment when the
     two ACT addresses have inverted low bits.
     """
@@ -108,8 +111,7 @@ def decoder_step(state, command, now, timings):
                 now - state.wordline_enable_time >= timings.tRAS:
             return DecoderState(), frozenset()
         # tRAS violated: the precharge cannot reset the latches.
-        new = replace(state, precharge_issue_time=now)
-        return new, new.active_rows()
+        return state, state.active_rows()
     raise ValueError(f"unknown decoder command {command!r}")
 
 
@@ -183,8 +185,9 @@ class DeviceState:
         self._param_cache = {}
         # (bg, bank, row) -> fill level (float) or read-only float32 array
         self._cells = {}
-        # engine-owned memo of constant-fill sensing; ``fork`` starts empty
-        self.sense_cache = {}
+        # (bg, bank, rows, fills, first, temperature) -> P(1) of constant
+        # fills, least recently used first; ``fork`` starts empty
+        self._sense_cache = {}
         self._decoders = {}  # (bg, bank) -> DecoderState
         traits = stream(variation.master_seed, TAG_CHIP_TRAITS)
         # +1: entropy rises with temperature (deviation shrinks); -1: falls.
@@ -214,6 +217,52 @@ class DeviceState:
             self._param_cache.clear()
         self._param_cache[key] = params
         return params
+
+    def deviation(self, address, cells, first_row=0):
+        """Charge-sharing deviation of the segment's open rows.
+
+        ``cells`` is a (rows,) fills vector or a stacked (rows, n) array of
+        row charges; the row at index ``first_row`` was activated first.
+        """
+        params = self.segment_params(address)
+        v = self.variation
+        return charge_share_deviation(
+            cells, v.first_row_weight, v.later_row_weight,
+            params.weight_multiplier, params.sa_offset, first_row)
+
+    def sense_probability(self, bank_group, bank, rows, first_row,
+                          temperature):
+        """Per-bitline P(1) of the open ``rows``; ``first_row`` is the one
+        activated first.
+
+        When every open row holds a constant fill, the deviation comes from
+        the fills vector and the P(1) is cached (at most
+        ``SENSE_CACHE_ENTRIES``, least recently used evicted first).
+        """
+        rows = tuple(sorted(rows))
+        first = rows.index(first_row)
+
+        def p_one_of(cells):
+            address = SegmentAddress(bank_group, bank, rows[0] // 4)
+            return success_probability(
+                self.deviation(address, cells, first),
+                self.variation.thermal_noise_sigma,
+                self.temperature_adjust(temperature))
+
+        fills = tuple(self.row_fill(bank_group, bank, r) for r in rows)
+        if None in fills:
+            return p_one_of(np.stack(
+                [self.read_cells(bank_group, bank, r) for r in rows]))
+        cache = self._sense_cache
+        key = (bank_group, bank, rows, fills, first, temperature)
+        p_one = cache.pop(key, None)
+        if p_one is None:
+            if len(cache) >= SENSE_CACHE_ENTRIES:
+                del cache[next(iter(cache))]
+            # cells hold float32 charges, so a fill enters as a float32
+            p_one = p_one_of(np.array(fills, dtype=np.float32))
+        cache[key] = p_one
+        return p_one
 
     def temperature_adjust(self, temperature_c):
         """Multiplicative factor on deviation magnitude at a temperature."""

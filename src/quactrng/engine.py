@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, DataPattern, SegmentAddress
-from .device import (DecoderState, charge_share_deviation, decoder_step,
-                     sample_sense_amp, success_probability)
+from .config import ConfigError, DataPattern
+from .device import DecoderState, decoder_step, sample_sense_amp
 from .rng import TAG_EXPERIMENT, stream
 
 __all__ = [
@@ -24,10 +23,6 @@ __all__ = [
 
 DEFAULT_T1 = 2.5    # ns, ACT -> violating PRE
 DEFAULT_T2 = 2.5    # ns, violating PRE -> second ACT
-# Entries of a device's constant-fill sensing cache. Each holds a deviation
-# and a P(1) row in float64: 16 bytes per bitline, 1 MiB at 64K bitlines.
-# Eight cover the pipeline's four banks in two temperature bins.
-SENSE_CACHE_ENTRIES = 8
 
 
 class TimingViolation(RuntimeError):
@@ -75,54 +70,12 @@ class TraceResult:
         }
 
 
-def _deviation(device, bank_group, bank, rows, first):
-    """Charge-sharing deviation of the open ``rows`` (sorted), the one at
-    index ``first`` activated first."""
-    params = device.segment_params(
-        SegmentAddress(bank_group, bank, rows[0] // 4))
-    v = device.variation
-    cells = np.stack([device.read_cells(bank_group, bank, r) for r in rows])
-    return charge_share_deviation(
-        cells, v.first_row_weight, v.later_row_weight,
-        params.weight_multiplier, params.sa_offset, first)
-
-
-def _success_probability(device, bank_group, bank, rows, first, temperature):
-    """Per-bitline P(1) of the open ``rows`` (sorted).
-
-    When every open row holds a constant fill, the deviation depends only
-    on the rows, their fills and the first row, so it is kept in
-    ``device.sense_cache`` (least recently used entries go first) with the
-    P(1) of the last temperature adjustment it was used at.
-    """
-    v = device.variation
-    adjust = device.temperature_adjust(temperature)
-    fills = tuple(device.row_fill(bank_group, bank, r) for r in rows)
-    if None in fills:
-        return success_probability(
-            _deviation(device, bank_group, bank, rows, first),
-            v.thermal_noise_sigma, adjust)
-    cache = device.sense_cache
-    key = (bank_group, bank, tuple(rows), fills, first)
-    entry = cache.pop(key, None)     # [deviation, adjust, P(1)]
-    if entry is None:
-        if len(cache) >= SENSE_CACHE_ENTRIES:
-            del cache[next(iter(cache))]
-        entry = [_deviation(device, bank_group, bank, rows, first), None, None]
-    cache[key] = entry
-    if entry[1] != adjust:
-        entry[1:] = adjust, success_probability(
-            entry[0], v.thermal_noise_sigma, adjust)
-    return entry[2]
-
-
 def _sense(device, bank_group, bank, active_rows, first_row, temperature, rng):
     """Resolve the sense amplifiers for the given open rows and restore the
     sensed values into every open row (all open rows track the row buffer).
     """
-    rows = sorted(active_rows)
-    p_one = _success_probability(device, bank_group, bank, rows,
-                                 rows.index(first_row), temperature)
+    p_one = device.sense_probability(bank_group, bank, active_rows, first_row,
+                                     temperature)
     draws = rng.uniform(size=device.geometry.bitlines_per_row)
     bits = sample_sense_amp(p_one, draws)
     sensed = bits.astype(np.float32)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .config import DataPattern, SegmentAddress
-from .device import charge_share_deviation, success_probability
+from .device import success_probability
 from .engine import run_quac
 from .rng import TAG_EXPERIMENT, stream
 
@@ -82,29 +82,6 @@ class EntropyMap:
         """(n_segments,) sums of bitline entropies."""
         return self.bitline.astype(np.float64).sum(axis=1)
 
-    def best_segment(self):
-        """(SegmentAddress, entropy) of the highest-entropy segment."""
-        i = int(np.argmax(self.segment_entropy))
-        return self.segments[i], float(self.segment_entropy[i])
-
-    def to_dict(self, include_bitline=False):
-        out = {
-            "context": self.context,
-            "cache_block_bits": self.cache_block_bits,
-            "segments": [[s.bank_group, s.bank, s.segment_index]
-                         for s in self.segments],
-            "segment_entropy": self.segment_entropy.tolist(),
-            "block_entropy": self.block_entropy.tolist(),
-        }
-        if include_bitline:
-            out["bitline_entropy"] = self.bitline.tolist()
-        return out
-
-    def to_json(self, path, include_bitline=False):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(include_bitline), fh)
-            fh.write("\n")
-
     def segment_series_to_csv(self, path):
         """Per-segment entropy series (for spatial-profile plots)."""
         with open(path, "w", newline="") as fh:
@@ -126,12 +103,8 @@ def _as_addresses(segments):
 
 def _pattern_probabilities(device, address, pattern, temperature):
     """Analytic per-bitline P(1) for a fixed fill pattern on one segment."""
-    v = device.variation
-    params = device.segment_params(address)
-    deviation = charge_share_deviation(
-        pattern.fills, v.first_row_weight, v.later_row_weight,
-        params.weight_multiplier, params.sa_offset)
-    return success_probability(deviation, v.thermal_noise_sigma,
+    return success_probability(device.deviation(address, pattern.fills),
+                               device.variation.thermal_noise_sigma,
                                device.temperature_adjust(temperature))
 
 

@@ -63,6 +63,15 @@ def test_generate_and_test_roundtrip(tmp_path):
     assert all(r["pass"] for r in report["results"])
 
 
+def test_generate_loads_stamped_plan(tmp_path):
+    assert run(tmp_path, "plan", "--segments", "16", "--bins", "1",
+               "--trials", "300") == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert {"tool_version", "config_hash", "master_seed"} <= plan.keys()
+    assert run(tmp_path, "generate", "--plan", str(tmp_path / "plan.json"),
+               "--bits", "4096") == 0
+
+
 def test_generate_reproducible(tmp_path):
     device = build_device(variation=calibrated_variation())
     emap = characterize(device, "0111", range(64), trials=1000)

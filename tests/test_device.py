@@ -2,6 +2,9 @@
 charge sharing, and sense-amplifier sampling.
 """
 
+import itertools
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,16 @@ def test_timings_burst_and_slot_times():
     assert t.burst_time == pytest.approx(8000.0 / 2400.0)
     assert t.slot_time == pytest.approx(8000.0 / 2400.0)
     assert t.scaled_to(4800).burst_time == pytest.approx(t.burst_time / 2)
+
+
+def test_timings_scaled_to_keeps_every_other_field():
+    t = TimingParams(tRAS=30.0, tRP=12.0, tRCD=14.0, tRRD_S=3.5, tRRD_L=6.0,
+                     CL=15.0, burst_length=16, command_slot=2.0)
+    scaled = t.scaled_to(4800)
+    assert scaled.transfer_rate == 4800
+    for f in fields(TimingParams):
+        if f.name != "transfer_rate":
+            assert getattr(scaled, f.name) == getattr(t, f.name), f.name
 
 
 def test_pattern_validation():
@@ -245,6 +258,46 @@ def test_rows_are_read_only_and_not_aliased():
     assert dev.row_fill(0, 0, 12) == 1.0
     assert dev.row_fill(0, 0, 13) is None
     assert dev.row_fill(0, 0, 14) == 0.5
+
+
+@pytest.mark.parametrize("later_row_weight", [None, 1])
+def test_deviation_from_fills_matches_stacked_rows(later_row_weight):
+    """Constant fills give the same deviation, bit for bit, as the rows
+    they stand for: one lone ACT, a two-row partial open, a full QUAC."""
+    variation = calibrated_variation()
+    if later_row_weight is not None:
+        variation = replace(variation, later_row_weight=later_row_weight)
+    dev = build_device(variation=variation)
+    for address in (SegmentAddress(0, 0, 3), SegmentAddress(1, 2, 517),
+                    SegmentAddress(3, 3, 8191)):
+        bg, bank = address.bank_group, address.bank
+        for n_rows in (1, 2, 4):
+            rows = address.rows[:n_rows]
+            for fills in itertools.product((0, 0.5, 1), repeat=n_rows):
+                for row, fill in zip(rows, fills):
+                    dev.write_row(bg, bank, row, fill)
+                stacked = np.stack([dev.read_cells(bg, bank, r) for r in rows])
+                for first in range(n_rows):
+                    np.testing.assert_array_equal(
+                        dev.deviation(address, fills, first),
+                        dev.deviation(address, stacked, first))
+
+
+@pytest.mark.parametrize("fills", [(0, 1, 1, 1), (1, 0.5, 0, 1),
+                                   (0.3, 0.7, 0.7, 0.7)])
+def test_sense_probability_of_fills_matches_arrays(fills):
+    dev = build_device(variation=calibrated_variation())
+    arrays = dev.fork()
+    n = dev.geometry.bitlines_per_row
+    address = SegmentAddress(2, 1, 40)
+    for row, fill in zip(address.rows, fills):
+        dev.write_row(2, 1, row, fill)
+        arrays.write_row(2, 1, row, np.full(n, fill))
+    for first_row in address.rows:
+        for _ in range(2):      # a miss, then a cache hit
+            np.testing.assert_array_equal(
+                dev.sense_probability(2, 1, address.rows, first_row, 60.0),
+                arrays.sense_probability(2, 1, address.rows, first_row, 60.0))
 
 
 def test_validate_address_bounds():

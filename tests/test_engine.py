@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from quactrng.config import (ConfigError, DramGeometry, SegmentAddress,
                              TimingParams)
-from quactrng.device import build_device
-from quactrng.engine import (SENSE_CACHE_ENTRIES, Command, TimingViolation,
+from quactrng.device import SENSE_CACHE_ENTRIES, build_device
+from quactrng.engine import (Command, TimingViolation,
                              copy_row,
                              execute_trace, run_quac)
 from quactrng import calibrated_variation
@@ -235,7 +235,7 @@ def test_cached_sensing_matches_fresh_device(steps):
                       first_row=first_row)
         np.testing.assert_array_equal(run_quac(device, address, **kwargs),
                                       run_quac(fresh, address, **kwargs))
-        assert len(device.sense_cache) <= SENSE_CACHE_ENTRIES
+        assert len(device._sense_cache) <= SENSE_CACHE_ENTRIES
 
 
 def test_per_bitline_write_is_not_served_from_cache(device):
