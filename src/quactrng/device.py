@@ -6,6 +6,10 @@ each open cell pulls the bitline away from the precharge level with a
 weight (the first-activated row pulls hardest because its cells share
 charge the longest), a per-bitline sense-amplifier offset is added, and
 the amplifier resolves 1 with probability Phi(deviation / noise_sigma).
+Sensing makes that probit compare in integer form: each bitline takes one
+raw 64-bit Philox word and resolves 1 when ``(raw >> 11) <
+ceil(P(1) * 2**53)``, which is exactly ``uniform < P(1)`` for the uniform
+numpy derives from the same word.
 """
 
 from __future__ import annotations
@@ -27,15 +31,16 @@ __all__ = [
     "build_device",
     "decoder_step",
     "charge_share_deviation",
+    "raw_threshold",
     "sample_sense_amp",
     "success_probability",
 ]
 
 PRECHARGE_LEVEL = 0.5
 REFERENCE_TEMP_C = 50.0
-# Entries of a device's constant-fill sensing cache. Each holds one float64
-# P(1) row: 512 KiB at 64K bitlines, so 4 MiB when full. Eight cover the
-# pipeline's four banks in two temperature bins.
+# Entries of a device's constant-fill sensing cache. Each holds one uint64
+# threshold row: 512 KiB at 64K bitlines, so 4 MiB when full. Eight cover
+# the pipeline's four banks in two temperature bins.
 SENSE_CACHE_ENTRIES = 8
 
 
@@ -137,18 +142,39 @@ def charge_share_deviation(cells, first_row_weight, later_row_weight,
     return weight_multiplier * shared + sa_offset
 
 
-def sample_sense_amp(p_one, rng_draw):
-    """Resolve the sense amplifiers to bits: 1 where the draw is below P(1).
+def raw_threshold(p_one):
+    """Integer form of P(1) for sensing: ``ceil(P(1) * 2**53)`` as uint64.
 
-    ``p_one`` is the per-bitline P(1) from :func:`success_probability`;
-    ``rng_draw`` is an array of uniforms from the experiment stream, one
-    per bitline (scalars work for a single bitline).
+    numpy turns a raw Philox word into the uniform ``(raw >> 11) * 2**-53``,
+    so ``uniform < P(1)`` holds exactly when ``(raw >> 11)`` is below this
+    threshold: P(1) = 0 gives 0 (never 1) and P(1) = 1 gives 2**53 (always
+    1). Scaling by a power of two and ``ceil`` are exact in float64.
+
+    A float64 array ``p_one`` is scaled in place, which spares a 512 KiB
+    temporary per row at 64K bitlines; pass a P(1) no longer needed.
     """
-    return (np.asarray(rng_draw) < p_one).astype(np.uint8)
+    scaled = np.asarray(p_one, dtype=np.float64)
+    np.multiply(scaled, 2.0 ** 53, out=scaled)
+    return np.ceil(scaled, out=np.empty(scaled.shape, np.uint64),
+                   casting="unsafe")
+
+
+def sample_sense_amp(threshold, raw):
+    """Resolve the sense amplifiers to bits: 1 where the word's uniform is
+    below P(1).
+
+    ``threshold`` is the per-bitline :func:`raw_threshold` of P(1); ``raw``
+    holds one raw 64-bit word of the experiment stream per bitline. A
+    uint64 array ``raw`` is shifted in place, which spares a 512 KiB
+    temporary per row at 64K bitlines.
+    """
+    words = np.asarray(raw, dtype=np.uint64)
+    return (np.right_shift(words, 11, out=words) < threshold).astype(np.uint8)
 
 
 def success_probability(deviation, thermal_noise_sigma, temperature_adjust=1.0):
-    """P(1) = Phi(adjusted deviation / sigma); the sampling path thresholds it."""
+    """P(1) = Phi(adjusted deviation / sigma); sensing compares raw words
+    against its :func:`raw_threshold`."""
     if thermal_noise_sigma <= 0:
         raise ValueError("thermal_noise_sigma must be > 0")
     return ndtr(np.asarray(deviation, dtype=np.float64)
@@ -185,8 +211,8 @@ class DeviceState:
         self._param_cache = {}
         # (bg, bank, row) -> fill level (float) or read-only float32 array
         self._cells = {}
-        # (bg, bank, rows, fills, first, temperature) -> P(1) of constant
-        # fills, least recently used first; ``fork`` starts empty
+        # (bg, bank, rows, fills, first, temperature) -> sensing threshold of
+        # constant fills, least recently used first; ``fork`` starts empty
         self._sense_cache = {}
         self._decoders = {}  # (bg, bank) -> DecoderState
         traits = stream(variation.master_seed, TAG_CHIP_TRAITS)
@@ -230,39 +256,39 @@ class DeviceState:
             cells, v.first_row_weight, v.later_row_weight,
             params.weight_multiplier, params.sa_offset, first_row)
 
-    def sense_probability(self, bank_group, bank, rows, first_row,
-                          temperature):
-        """Per-bitline P(1) of the open ``rows``; ``first_row`` is the one
-        activated first.
+    def sense_threshold(self, bank_group, bank, rows, first_row,
+                        temperature):
+        """Per-bitline :func:`raw_threshold` of the P(1) of the open
+        ``rows``; ``first_row`` is the one activated first.
 
         When every open row holds a constant fill, the deviation comes from
-        the fills vector and the P(1) is cached (at most
+        the fills vector and the threshold is cached (at most
         ``SENSE_CACHE_ENTRIES``, least recently used evicted first).
         """
         rows = tuple(sorted(rows))
         first = rows.index(first_row)
 
-        def p_one_of(cells):
+        def threshold_of(cells):
             address = SegmentAddress(bank_group, bank, rows[0] // 4)
-            return success_probability(
+            return raw_threshold(success_probability(
                 self.deviation(address, cells, first),
                 self.variation.thermal_noise_sigma,
-                self.temperature_adjust(temperature))
+                self.temperature_adjust(temperature)))
 
         fills = tuple(self.row_fill(bank_group, bank, r) for r in rows)
         if None in fills:
-            return p_one_of(np.stack(
+            return threshold_of(np.stack(
                 [self.read_cells(bank_group, bank, r) for r in rows]))
         cache = self._sense_cache
         key = (bank_group, bank, rows, fills, first, temperature)
-        p_one = cache.pop(key, None)
-        if p_one is None:
+        threshold = cache.pop(key, None)
+        if threshold is None:
             if len(cache) >= SENSE_CACHE_ENTRIES:
                 del cache[next(iter(cache))]
             # cells hold float32 charges, so a fill enters as a float32
-            p_one = p_one_of(np.array(fills, dtype=np.float32))
-        cache[key] = p_one
-        return p_one
+            threshold = threshold_of(np.array(fills, dtype=np.float32))
+        cache[key] = threshold
+        return threshold
 
     def temperature_adjust(self, temperature_c):
         """Multiplicative factor on deviation magnitude at a temperature."""

@@ -74,10 +74,10 @@ def _sense(device, bank_group, bank, active_rows, first_row, temperature, rng):
     """Resolve the sense amplifiers for the given open rows and restore the
     sensed values into every open row (all open rows track the row buffer).
     """
-    p_one = device.sense_probability(bank_group, bank, active_rows, first_row,
-                                     temperature)
-    draws = rng.uniform(size=device.geometry.bitlines_per_row)
-    bits = sample_sense_amp(p_one, draws)
+    threshold = device.sense_threshold(bank_group, bank, active_rows,
+                                       first_row, temperature)
+    raw = rng.bit_generator.random_raw(device.geometry.bitlines_per_row)
+    bits = sample_sense_amp(threshold, raw)
     sensed = bits.astype(np.float32)
     sensed.flags.writeable = False
     for r in active_rows:
@@ -202,6 +202,10 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
             if cmd.issue_time - state.wordline_enable_time < t.tRCD:
                 raise TimingViolation("READ_BLOCK before tRCD elapsed")
             block = cmd.args[0]
+            if not 0 <= block < device.geometry.blocks_per_row:
+                raise ValueError(
+                    f"READ_BLOCK block {block} outside the row's "
+                    f"{device.geometry.blocks_per_row} blocks")
             cb = device.geometry.cache_block_bits
             bits = row_buffer[key][block * cb:(block + 1) * cb]
             result.payloads.append(bits.copy())

@@ -116,6 +116,12 @@ def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
     ranges = entry["ranges"]
     if not ranges:
         raise ValueError("insufficient entropy: plan bin has zero input blocks")
+    n = device.geometry.bitlines_per_row
+    for start, end, _ in ranges:
+        if not 0 <= start < end <= n:
+            raise ConfigError(
+                f"plan bin {bin_index}: range [{start}, {end}) is not a "
+                f"non-empty column range of the {n}-bitline row")
     seg_index = entry["segment"].segment_index
     layout.ensure_sources(device, seg_index)
     zeros_row, ones_row = layout.source_rows(device.geometry, seg_index)

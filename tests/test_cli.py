@@ -72,6 +72,17 @@ def test_generate_loads_stamped_plan(tmp_path):
                "--bits", "4096") == 0
 
 
+@pytest.mark.parametrize("bad", [[0, 65537], [512, 512]])
+def test_generate_refuses_plan_range_outside_row(tmp_path, bad):
+    plan = {"bins": [[30.0, 90.0]],
+            "entries": [{"segment": [0, 0, 100],
+                         "ranges": [[0, 512, 300.0], [*bad, 300.0]]}]}
+    (tmp_path / "bad.json").write_text(json.dumps(plan))
+    assert run(tmp_path, "generate", "--plan", str(tmp_path / "bad.json"),
+               "--bits", "4096") == 1
+    assert not (tmp_path / "bits.bin").exists()
+
+
 def test_generate_reproducible(tmp_path):
     device = build_device(variation=calibrated_variation())
     emap = characterize(device, "0111", range(64), trials=1000)

@@ -15,7 +15,9 @@ from quactrng.config import (ConfigError, DataPattern, DeviceConfig,
                              VariationProfile, calibrated_variation)
 from quactrng.device import (DecoderError, DecoderState, build_device,
                              charge_share_deviation, decoder_step,
-                             sample_sense_amp, success_probability)
+                             raw_threshold, sample_sense_amp,
+                             success_probability)
+from quactrng.rng import TAG_EXPERIMENT, stream
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +167,46 @@ def test_charge_share_offset_and_multiplier():
 def test_sample_sense_amp_matches_analytic_probability():
     rng = np.random.default_rng(7)
     dev = np.full(200000, 0.01)
-    bits = sample_sense_amp(success_probability(dev, 0.02),
-                            rng.uniform(size=dev.size))
+    bits = sample_sense_amp(raw_threshold(success_probability(dev, 0.02)),
+                            rng.bit_generator.random_raw(dev.size))
     p = success_probability(0.01, 0.02)
     assert bits.mean() == pytest.approx(p, abs=3 / np.sqrt(dev.size))
+
+
+def _experiment_stream(seed):
+    return stream(seed, TAG_EXPERIMENT, 0, 1, 2, 3)
+
+
+def test_numpy_uniform_is_top_53_bits_of_raw_word():
+    # the contract raw_threshold relies on; a numpy release that changes
+    # the double conversion fails here by name
+    n = 65536
+    uniforms = _experiment_stream(7).uniform(size=n)
+    raw = _experiment_stream(7).bit_generator.random_raw(n)
+    np.testing.assert_array_equal(uniforms, (raw >> 11) * 2.0 ** -53)
+
+
+EDGE_P_ONE = (0.0, 5e-324, 2.0 ** -60, 2.0 ** -53, 0.5, 1 - 2.0 ** -53, 1.0)
+
+
+@given(st.integers(0, 2 ** 32),
+       st.lists(st.one_of(st.sampled_from(EDGE_P_ONE), st.floats(0.0, 1.0),
+                          st.integers(-1, 1)),
+                min_size=1, max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_raw_threshold_compare_matches_uniform_compare(seed, picks):
+    """A float pick is a bitline's P(1). An integer pick -1, 0 or 1 sets it
+    one ulp below, at or one ulp above the uniform the bitline draws, so
+    the compare is tested on both sides of equality."""
+    n = len(picks)
+    uniforms = _experiment_stream(seed).uniform(size=n)
+    p_one = np.array([
+        pick if isinstance(pick, float)
+        else np.nextafter(u, (0.0, u, 1.0)[pick + 1])
+        for u, pick in zip(uniforms, picks)])
+    bits = sample_sense_amp(raw_threshold(p_one.copy()),
+                            _experiment_stream(seed).bit_generator.random_raw(n))
+    np.testing.assert_array_equal(bits, (uniforms < p_one).astype(np.uint8))
 
 
 def test_success_probability_rejects_zero_sigma():
@@ -296,8 +334,8 @@ def test_sense_probability_of_fills_matches_arrays(fills):
     for first_row in address.rows:
         for _ in range(2):      # a miss, then a cache hit
             np.testing.assert_array_equal(
-                dev.sense_probability(2, 1, address.rows, first_row, 60.0),
-                arrays.sense_probability(2, 1, address.rows, first_row, 60.0))
+                dev.sense_threshold(2, 1, address.rows, first_row, 60.0),
+                arrays.sense_threshold(2, 1, address.rows, first_row, 60.0))
 
 
 def test_validate_address_bounds():

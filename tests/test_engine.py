@@ -141,6 +141,15 @@ def test_execute_trace_read_guards(device):
         execute_trace(device, cmds)
 
 
+def test_execute_trace_rejects_block_outside_row(device):
+    t = device.timings
+    for block in (device.geometry.blocks_per_row, -1):
+        cmds = [Command(0.0, "ACT", 0, 0, (40,)),
+                Command(t.tRCD, "READ_BLOCK", 0, 0, (block,))]
+        with pytest.raises(ValueError, match=f"block {block} outside"):
+            execute_trace(device.fork(), cmds)
+
+
 def test_execute_trace_requires_increasing_times(device):
     cmds = [Command(10.0, "ACT", 0, 0, (0,)),
             Command(10.0, "PRE", 0, 0)]

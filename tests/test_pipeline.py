@@ -156,6 +156,16 @@ def test_generate_refuses_empty_plan(device, plan):
         generate_iteration(device, ReservedLayout(), crippled, 50.0, 0)
 
 
+@pytest.mark.parametrize("bad", [(0, 65537), (512, 512), (900, 400),
+                                 (-256, 256)])
+def test_generate_refuses_range_outside_row(device, plan, bad):
+    import copy
+    edited = copy.deepcopy(plan)
+    edited.entries[0]["ranges"][1] = (*bad, 300.0)
+    with pytest.raises(ConfigError, match=rf"range \[{bad[0]}, {bad[1]}\)"):
+        generate_iteration(device, ReservedLayout(), edited, 50.0, 0)
+
+
 def test_buffer_invariants():
     buf = RngBuffer(capacity_bits=1024)
     word = np.zeros(256, dtype=np.uint8)
