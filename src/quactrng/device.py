@@ -174,11 +174,17 @@ def sample_sense_amp(threshold, raw):
 
 def success_probability(deviation, thermal_noise_sigma, temperature_adjust=1.0):
     """P(1) = Phi(adjusted deviation / sigma); sensing compares raw words
-    against its :func:`raw_threshold`."""
+    against its :func:`raw_threshold`.
+
+    Works in place on its own float64 copy of ``deviation``, so the
+    caller's array is never written; a scalar in gives a scalar out.
+    """
     if thermal_noise_sigma <= 0:
         raise ValueError("thermal_noise_sigma must be > 0")
-    return ndtr(np.asarray(deviation, dtype=np.float64)
-                * temperature_adjust / thermal_noise_sigma)
+    p = np.array(deviation, dtype=np.float64)
+    np.multiply(p, temperature_adjust, out=p)
+    np.divide(p, thermal_noise_sigma, out=p)
+    return ndtr(p, out=p)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +235,13 @@ class DeviceState:
         v = self.variation
         rng = stream(v.master_seed, TAG_SEGMENT_PARAMS, *key)
         n = self.geometry.bitlines_per_row
-        sigma = np.full(n, v.sa_offset_sigma)
+        sigma = v.sa_offset_sigma
         if v.column_sigma_wave_amplitude:
             col = np.arange(n)
             sigma = sigma * (1.0 + v.column_sigma_wave_amplitude
                              * np.sin(np.pi * col / n))
-        offsets = rng.normal(0.0, 1.0, n) * sigma
-        mult = 1.0 + rng.normal(0.0, v.segment_weight_jitter_sigma) \
+        offsets = rng.standard_normal(n) * sigma
+        mult = 1.0 + v.segment_weight_jitter_sigma * rng.standard_normal() \
             + v.spatial_wave_amplitude * np.sin(
                 2.0 * np.pi * address.segment_index / v.spatial_wave_period)
         params = SegmentParams(sa_offset=offsets, weight_multiplier=mult)

@@ -41,14 +41,22 @@ def bitline_entropy(ones_count, trials):
     """Shannon entropy (bits) of a bitline that produced ``ones_count`` ones
     in ``trials`` trials: the plug-in estimate H(ones_count / trials).
 
-    Accepts arrays of counts for vectorized evaluation.
+    Accepts arrays of counts for vectorized evaluation. An integer array
+    with more counts than ``trials`` is looked up in the table of
+    H(k / trials) for k = 0..trials: the same values, with H evaluated once
+    per possible count rather than once per bitline. Fewer counts, such as
+    one count out of 10**9 trials, are evaluated directly, since the table
+    would be larger than they are.
     """
     ones = np.asarray(ones_count)
     if np.any(ones < 0) or np.any(ones > trials):
         raise ValueError("ones_count must be in [0, trials]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    h = binary_entropy(ones / trials)
+    if ones.dtype.kind in "iu" and ones.size > trials:
+        h = binary_entropy(np.arange(trials + 1) / trials)[ones]
+    else:
+        h = binary_entropy(ones / trials)
     return h if h.ndim else float(h)
 
 
@@ -319,8 +327,9 @@ def build_sib_plan(maps, bins=None, min_block_entropy=256.0):
     for emap in maps:
         if emap.context.get("pattern", pattern) != pattern:
             raise ValueError("all maps in a plan must share one pattern")
-        idx = int(np.argmax(emap.segment_entropy))
-        total = float(emap.segment_entropy[idx])
+        segment_entropy = emap.segment_entropy
+        idx = int(np.argmax(segment_entropy))
+        total = float(segment_entropy[idx])
         if total < min_block_entropy:
             raise ValueError(
                 f"insufficient entropy: best segment carries {total:.1f} bits "

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from quactrng.config import (ConfigError, DataPattern, DeviceConfig,
                              DramGeometry, SegmentAddress, TimingParams,
@@ -17,7 +18,7 @@ from quactrng.device import (DecoderError, DecoderState, build_device,
                              charge_share_deviation, decoder_step,
                              raw_threshold, sample_sense_amp,
                              success_probability)
-from quactrng.rng import TAG_EXPERIMENT, stream
+from quactrng.rng import TAG_EXPERIMENT, TAG_SEGMENT_PARAMS, stream
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,35 @@ def test_success_probability_bounds_and_monotonicity(dev, sigma):
     assert success_probability(dev + 0.01, sigma) >= p
 
 
+@pytest.mark.parametrize("deviation", [0.01, -0.03, 0, np.float64(0.02),
+                                       np.float32(0.02)])
+def test_success_probability_of_scalar_is_scalar(deviation):
+    p = success_probability(deviation, 0.02, 0.9)
+    assert not isinstance(p, np.ndarray)
+    assert isinstance(p, (float, np.floating))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (2, 3, 5)])
+def test_success_probability_keeps_shape_and_leaves_input(shape):
+    deviation = np.random.default_rng(3).normal(0.0, 0.05, shape)
+    before = deviation.copy()
+    p = success_probability(deviation, 0.02, 1.1)
+    assert np.shape(p) == shape
+    np.testing.assert_array_equal(deviation, before)
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+       st.floats(1e-4, 0.1), st.floats(0.5, 1.5),
+       st.sampled_from([np.float64, np.float32]))
+@settings(max_examples=100, deadline=None)
+def test_success_probability_matches_out_of_place_form(values, sigma, adjust,
+                                                       dtype):
+    deviation = np.array(values, dtype=dtype)
+    expected = ndtr(np.asarray(deviation, dtype=np.float64) * adjust / sigma)
+    np.testing.assert_array_equal(
+        success_probability(deviation, sigma, adjust), expected)
+
+
 # ---------------------------------------------------------------------------
 # device state
 # ---------------------------------------------------------------------------
@@ -245,6 +275,41 @@ def test_different_seeds_give_different_params():
     addr = SegmentAddress(0, 0, 0)
     assert not np.array_equal(a.segment_params(addr).sa_offset,
                               b.segment_params(addr).sa_offset)
+
+
+def _reference_segment_params(variation, n, address):
+    """The draw as first written: N(0, 1) deviates times a sigma row, and
+    the multiplier jitter drawn as N(0, jitter)."""
+    v = variation
+    rng = stream(v.master_seed, TAG_SEGMENT_PARAMS, address.bank_group,
+                 address.bank, address.segment_index)
+    sigma = np.full(n, v.sa_offset_sigma)
+    if v.column_sigma_wave_amplitude:
+        sigma = sigma * (1.0 + v.column_sigma_wave_amplitude
+                         * np.sin(np.pi * np.arange(n) / n))
+    offsets = rng.normal(0.0, 1.0, n) * sigma
+    mult = 1.0 + rng.normal(0.0, v.segment_weight_jitter_sigma) \
+        + v.spatial_wave_amplitude * np.sin(
+            2.0 * np.pi * address.segment_index / v.spatial_wave_period)
+    return offsets, mult
+
+
+@pytest.mark.parametrize("variation", [
+    calibrated_variation(),
+    replace(calibrated_variation(), column_sigma_wave_amplitude=0.3),
+    replace(calibrated_variation(), segment_weight_jitter_sigma=0.0),
+], ids=["calibrated", "column_wave", "no_jitter"])
+def test_segment_params_match_reference_draw(variation):
+    device = build_device(variation=variation)
+    n = device.geometry.bitlines_per_row
+    for address in [SegmentAddress(bg, bank, seg) for bg, bank, seg in
+                    ((0, 0, 0), (0, 1, 1), (1, 2, 77), (2, 0, 300),
+                     (2, 3, 511), (3, 1, 4096), (3, 3, 8191))]:
+        params = device.segment_params(address)
+        offsets, mult = _reference_segment_params(variation, n, address)
+        assert params.sa_offset.tobytes() == offsets.tobytes()
+        assert np.float64(params.weight_multiplier).tobytes() == \
+            np.float64(mult).tobytes()
 
 
 def test_temperature_adjust_trend():

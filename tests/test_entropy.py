@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from quactrng import build_device, calibrated_variation
 from quactrng.config import SegmentAddress, VariationProfile
-from quactrng.entropy import (EntropyMap, bitline_entropy, build_sib_plan,
-                              characterize, default_temperature_bins,
-                              spatial_profile)
+from quactrng.entropy import (EntropyMap, binary_entropy, bitline_entropy,
+                              build_sib_plan, characterize,
+                              default_temperature_bins, spatial_profile)
 
 # High-precision oracle for H(0.11), computed independently with 40-digit
 # arithmetic.
@@ -45,6 +45,24 @@ def test_bitline_entropy_symmetric_and_bounded(k):
     h = bitline_entropy(k, 1000)
     assert 0.0 <= h <= 1.0
     assert h == pytest.approx(bitline_entropy(1000 - k, 1000))
+
+
+@given(st.sampled_from([1, 2, 999, 1000, 1001, 65535, 65536]),
+       st.integers(0, 2 ** 32), st.integers(1, 64),
+       st.sampled_from([np.int64, np.int32, np.uint32, np.float64]))
+@settings(max_examples=60, deadline=None)
+def test_bitline_entropy_table_matches_direct_form(trials, seed, extra,
+                                                   dtype):
+    """A single count and more counts than ``trials`` (the table's side of
+    the size selection) give the bytes of H(ones / trials)."""
+    rng = np.random.default_rng(seed)
+    many = rng.integers(0, trials + 1, trials + extra)
+    many[:2] = (0, trials)
+    for ones in (many[:1], many[-1:], many):
+        ones = ones.astype(dtype)
+        h = bitline_entropy(ones, trials)
+        assert h.shape == ones.shape
+        assert h.tobytes() == binary_entropy(ones / trials).tobytes()
 
 
 @pytest.fixture(scope="module")
