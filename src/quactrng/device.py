@@ -352,7 +352,7 @@ class DeviceState:
         return (bank_group, bank, row) in self._cells
 
     def decoder(self, bank_group, bank):
-        return self._decoders.get((bank_group, bank), DecoderState())
+        return self._decoders.get((bank_group, bank)) or DecoderState()
 
     def set_decoder(self, bank_group, bank, state):
         self._decoders[(bank_group, bank)] = state

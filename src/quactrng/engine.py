@@ -1,5 +1,10 @@
 """Command engine: executes DDR4 command traces against a device, including
 the quadruple-activation sequence, in-DRAM row copy, and cache-block reads.
+
+:func:`execute_trace` alone steps the row decoder and senses; :func:`run_quac`
+is a four-command trace through it. Open rows are sensed once, when first read
+or closed by a PRE, on one stream per (experiment seed, bank group, bank,
+segment) per trace; each further sense of a segment takes its next words.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError, DataPattern
-from .device import DecoderState, decoder_step, sample_sense_amp
+from .device import decoder_step, sample_sense_amp
 from .rng import TAG_EXPERIMENT, stream
 
 __all__ = [
@@ -50,24 +55,13 @@ class TraceResult:
 
     payloads: list = field(default_factory=list)   # one uint8 array per READ_BLOCK
     outcomes: list = field(default_factory=list)   # (time, kind, active_rows or None)
+    sensed: list = field(default_factory=list)     # (time, (bg, bank), bits) per sense
     bus_busy_ns: float = 0.0
 
     def payload_bits(self):
         if not self.payloads:
             return np.zeros(0, dtype=np.uint8)
         return np.concatenate(self.payloads)
-
-    def to_dict(self):
-        return {
-            "bus_busy_ns": self.bus_busy_ns,
-            "reads": len(self.payloads),
-            "payload_bits": int(sum(len(p) for p in self.payloads)),
-            "outcomes": [
-                {"time": t, "kind": k,
-                 "active_rows": sorted(a) if a is not None else None}
-                for t, k, a in self.outcomes
-            ],
-        }
 
 
 def _sense(device, bank_group, bank, active_rows, first_row, temperature, rng):
@@ -94,7 +88,8 @@ def run_quac(device, segment, pattern=None, t1=DEFAULT_T1, t2=DEFAULT_T2,
     first; with ``pattern=None`` the current cell contents are used (e.g.
     after copy-based initialization). ``first_row`` selects which inverted
     LSB pair carries the sequence: 0 means ACT(row0)->ACT(row3), 1 means
-    ACT(row1)->ACT(row2); both are equivalent by symmetry.
+    ACT(row1)->ACT(row2); both are equivalent by symmetry. A bank left open
+    follows the trace rules: another segment's open row raises DecoderError.
     """
     t = device.timings
     if t1 >= t.tRAS or t2 >= t.tRP:
@@ -112,19 +107,13 @@ def run_quac(device, segment, pattern=None, t1=DEFAULT_T1, t2=DEFAULT_T2,
 
     first = segment.base_row + first_row
     second = segment.base_row + (3 - first_row)
-    state = DecoderState()
-    state, _ = decoder_step(state, ("ACT", first), 0.0, t)
-    state, _ = decoder_step(state, ("PRE",), t1, t)
-    state, active = decoder_step(state, ("ACT", second), t1 + t2, t)
-    assert len(active) == 4, "inverted LSB pair must open the full segment"
-    device.set_decoder(bg, bank, state)
-
-    rng = stream(device.variation.master_seed, TAG_EXPERIMENT,
-                 experiment_seed, bg, bank, segment.segment_index)
-    bits = _sense(device, bg, bank, active, first, temperature, rng)
-    # Close the segment under legal timing before returning.
-    state, _ = decoder_step(state, ("PRE",), t1 + t2 + t.tRAS, t)
-    device.set_decoder(bg, bank, state)
+    quac = [Command(0.0, "ACT", bg, bank, (first,)),
+            Command(t1, "PRE", bg, bank),
+            Command(t1 + t2, "ACT", bg, bank, (second,)),
+            # closes the segment under legal timing, which senses it
+            Command(t1 + t2 + t.tRAS, "PRE", bg, bank)]
+    (_, _, bits), = execute_trace(device, quac, experiment_seed,
+                                  temperature).sensed
     return bits
 
 
@@ -157,7 +146,22 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
     result = TraceResult()
     last_time = {}       # (bg, bank) -> last issue time
     first_open = {}      # (bg, bank) -> first activated row
-    row_buffer = {}      # (bg, bank) -> sensed bits
+    row_buffer = {}      # (bg, bank) -> bits sensed since the last ACT
+    streams = {}         # (bg, bank, segment) -> noise stream of this trace
+
+    def sense(key, time):
+        if key not in row_buffer:
+            active = device.decoder(*key).active_rows()
+            segment = (*key, min(active) // 4)
+            if segment not in streams:
+                streams[segment] = stream(device.variation.master_seed,
+                                          TAG_EXPERIMENT, experiment_seed,
+                                          *segment)
+            row_buffer[key] = _sense(device, *key, active,
+                                     first_open.get(key, min(active)),
+                                     temperature, streams[segment])
+            result.sensed.append((time, key, row_buffer[key]))
+        return row_buffer[key]
 
     for cmd in commands:
         key = (cmd.bank_group, cmd.bank)
@@ -170,22 +174,17 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
 
         if cmd.kind in ("ACT", "PRE"):
             command = ("ACT", cmd.args[0]) if cmd.kind == "ACT" else ("PRE",)
-            had_latches = state.any_latched
-            state, active = decoder_step(state, command, cmd.issue_time, t)
-            device.set_decoder(*key, state)
-            result.bus_busy_ns += t.slot_time
+            new_state, active = decoder_step(state, command, cmd.issue_time, t)
             if cmd.kind == "ACT":
-                if not had_latches:
+                if not state.any_latched:
                     first_open[key] = cmd.args[0]
-                rng = stream(device.variation.master_seed, TAG_EXPERIMENT,
-                             experiment_seed, *key, min(active) // 4,
-                             int(cmd.issue_time * 1000))
-                row_buffer[key] = _sense(device, *key, active,
-                                         first_open.get(key, min(active)),
-                                         temperature, rng)
-            elif not active:
                 row_buffer.pop(key, None)
+            elif not active and state.any_latched:
+                sense(key, cmd.issue_time)   # rows never read are sensed now
+                row_buffer.pop(key)
                 first_open.pop(key, None)
+            device.set_decoder(*key, new_state)
+            result.bus_busy_ns += t.slot_time
             result.outcomes.append((cmd.issue_time, cmd.kind, active))
 
         elif cmd.kind == "WRITE_ROW":
@@ -196,7 +195,6 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
             result.outcomes.append((cmd.issue_time, cmd.kind, None))
 
         elif cmd.kind == "READ_BLOCK":
-            state = device.decoder(*key)
             if not state.active_rows():
                 raise TimingViolation("READ_BLOCK with no open row")
             if cmd.issue_time - state.wordline_enable_time < t.tRCD:
@@ -207,7 +205,7 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
                     f"READ_BLOCK block {block} outside the row's "
                     f"{device.geometry.blocks_per_row} blocks")
             cb = device.geometry.cache_block_bits
-            bits = row_buffer[key][block * cb:(block + 1) * cb]
+            bits = sense(key, cmd.issue_time)[block * cb:(block + 1) * cb]
             result.payloads.append(bits.copy())
             result.bus_busy_ns += t.slot_time + t.burst_time
             result.outcomes.append((cmd.issue_time, cmd.kind, None))

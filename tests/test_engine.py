@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from quactrng.config import (ConfigError, DramGeometry, SegmentAddress,
                              TimingParams)
-from quactrng.device import SENSE_CACHE_ENTRIES, build_device
+from quactrng import engine
+from quactrng.device import (SENSE_CACHE_ENTRIES, DecoderError, build_device,
+                             sample_sense_amp)
 from quactrng.engine import (Command, TimingViolation,
                              copy_row,
                              execute_trace, run_quac)
@@ -169,15 +171,79 @@ def test_single_row_activation_reads_back_written_data(device):
     np.testing.assert_array_equal(result.payloads[0], np.ones(512, np.uint8))
 
 
-def test_trace_result_serialization(device):
+def test_read_senses_rows_left_open_by_earlier_trace(device):
+    """A READ on a row an earlier trace opened senses it, taking the lowest
+    open row as the first, like a READ in the trace that opened it.
+    """
     t = device.timings
-    device.write_row(0, 0, 0, 1)
-    cmds = [Command(0.0, "ACT", 0, 0, (0,)),
-            Command(t.tRCD, "READ_BLOCK", 0, 0, (0,))]
-    d = execute_trace(device, cmds).to_dict()
-    assert d["reads"] == 1
-    assert d["payload_bits"] == 512
-    assert d["outcomes"][0]["active_rows"] == [0]
+    act = Command(0.0, "ACT", 0, 0, (40,))
+    read = Command(t.tRCD, "READ_BLOCK", 0, 0, (5,))
+    expected = execute_trace(device.fork(), [act, read])
+    execute_trace(device, [act])
+    result = execute_trace(device, [read])
+    np.testing.assert_array_equal(result.payloads[0], expected.payloads[0])
+    assert len(result.sensed) == 1
+
+
+def test_run_quac_follows_rows_left_open(device):
+    execute_trace(device, [Command(0.0, "ACT", 0, 0, (40,))])
+    with pytest.raises(DecoderError, match="cross-segment"):
+        run_quac(device, SEG, pattern="0111")
+    # a row of the same segment stays latched; the QUAC opens all four rows
+    other = device.fork()
+    execute_trace(other, [Command(0.0, "ACT", 0, 0, (SEG.base_row + 1,))])
+    np.testing.assert_array_equal(run_quac(other, SEG, pattern="0111"),
+                                  run_quac(device.fork(), SEG, pattern="0111"))
+    assert other.decoder(0, 0).active_rows() == frozenset()
+
+
+def quac_trace(device, segment, pattern, first_row=0, start=0.0):
+    """One QUAC as a trace: the pattern's row writes, ACT, early PRE, ACT,
+    a READ_BLOCK of every block of the row, and a closing PRE."""
+    bg, bank, base = segment.bank_group, segment.bank, segment.base_row
+    cmds = [Command(start + i, "WRITE_ROW", bg, bank, (row, int(fill)))
+            for i, (row, fill) in enumerate(zip(segment.rows, pattern))]
+    act = start + 10.0
+    cmds += [Command(act, "ACT", bg, bank, (base + first_row,)),
+             Command(act + 2.5, "PRE", bg, bank),
+             Command(act + 5.0, "ACT", bg, bank, (base + 3 - first_row,))]
+    read = act + 5.0 + device.timings.tRCD
+    blocks = device.geometry.blocks_per_row
+    cmds += [Command(read + b, "READ_BLOCK", bg, bank, (b,))
+             for b in range(blocks)]
+    cmds.append(Command(read + blocks, "PRE", bg, bank))
+    return cmds
+
+
+@pytest.mark.parametrize("first_row", [0, 1])
+def test_trace_quac_matches_run_quac(device, first_row):
+    result = execute_trace(device, quac_trace(device, SEG, "0111", first_row))
+    np.testing.assert_array_equal(
+        result.payload_bits(),
+        run_quac(device.fork(), SEG, pattern="0111", first_row=first_row))
+    assert device.decoder(0, 0).active_rows() == frozenset()
+
+
+def test_two_trace_quacs_of_one_segment_differ(device):
+    cmds = quac_trace(device, SEG, "0111") \
+        + quac_trace(device, SEG, "0111", start=1000.0)
+    result = execute_trace(device, cmds)
+    bits = result.payload_bits().reshape(2, -1)
+    assert len(result.sensed) == 2
+    # the same fills on a restarted stream would give the same bits
+    assert not np.array_equal(bits[0], bits[1])
+
+
+def test_trace_quac_senses_once(device, monkeypatch):
+    calls = []
+
+    def counting(threshold, raw):
+        calls.append(len(raw))
+        return sample_sense_amp(threshold, raw)
+
+    monkeypatch.setattr(engine, "sample_sense_amp", counting)
+    execute_trace(device, quac_trace(device, SEG, "0111"))
+    assert calls == [device.geometry.bitlines_per_row]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +326,7 @@ def test_per_bitline_write_is_not_served_from_cache(device):
     assert bits.mean() > 0.99 and cached.mean() < 0.05
 
 
-def test_trace_second_act_senses_restored_rows(device):
+def test_trace_quac_reuses_cached_fills(device):
     t = device.timings
     cmds = [
         Command(0.0, "WRITE_ROW", 0, 0, (12, 0)),
@@ -274,7 +340,7 @@ def test_trace_second_act_senses_restored_rows(device):
         Command(500.0, "PRE", 0, 0),
     ]
     expected = execute_trace(device.fork(), cmds).payload_bits()
-    # the segment's "0111" fills and the first ACT's lone row are cached
+    # the segment's "0111" fills are cached; the trace senses its four rows
     run_quac(device, SEG, pattern="0111")
     for _ in range(2):
         got = execute_trace(device, cmds).payload_bits()
@@ -290,3 +356,75 @@ def test_sensed_row_is_shared_and_read_only(device):
     with pytest.raises(ValueError, match="read-only"):
         rows[0][:] = 1.0
     np.testing.assert_array_equal(device.read_cells(0, 0, SEG.rows[1]), before)
+
+
+# ---------------------------------------------------------------------------
+# random command traces
+# ---------------------------------------------------------------------------
+
+TRACE_ERRORS = (TimingViolation, DecoderError, ConfigError, ValueError)
+rows = st.integers(0, 3) | st.integers(0, SMALL.rows_per_bank - 1)
+trace_steps = st.tuples(
+    st.sampled_from(["ACT", "PRE", "READ_BLOCK", "WRITE_ROW", "COPY_ROW"]),
+    st.integers(0, 1),                       # bank group
+    st.sampled_from([2.5, 13.5, 32.0]) | st.floats(0.0, 60.0),  # gap
+    rows,                                    # ACT, WRITE_ROW and COPY_ROW row
+    rows,                                    # COPY_ROW destination
+    st.sampled_from(range(-1, SMALL.blocks_per_row + 1)),  # READ_BLOCK block
+    st.sampled_from([0, 1, 0.5]),            # WRITE_ROW fill
+)
+
+
+@given(st.lists(trace_steps, min_size=8, max_size=32))
+@example([("WRITE_ROW", 0, 1.0, 0, 0, 0, 0), ("ACT", 0, 1.0, 0, 0, 0, 0),
+          ("PRE", 0, 2.5, 0, 0, 0, 0), ("ACT", 0, 2.5, 3, 0, 0, 0),     # QUAC
+          ("READ_BLOCK", 0, 13.5, 0, 0, 3, 0),
+          ("PRE", 0, 2.5, 0, 0, 0, 0),                                 # early
+          ("READ_BLOCK", 0, 2.5, 0, 0, 4, 0), ("PRE", 0, 32.0, 0, 0, 0, 0)])
+@settings(max_examples=100, deadline=None)
+def test_random_traces_keep_invariants(steps):
+    """Every trace raises one of TRACE_ERRORS or keeps the invariants. The
+    trace is grown one generated command at a time; a command that makes
+    it raise is dropped, and the invariants are checked on what is kept."""
+    device = build_device(SMALL, variation=calibrated_variation())
+    t = device.timings
+    clock, cmds = {}, []
+    for kind, bg, gap, row, dst, block, fill in steps:
+        clock[bg] = clock.get(bg, 0.0) + gap
+        args = {"ACT": (row,), "PRE": (), "READ_BLOCK": (block,),
+                "WRITE_ROW": (row, fill), "COPY_ROW": (row, dst)}[kind]
+        cmd = Command(clock[bg], kind, bg, 0, args)
+        try:
+            execute_trace(device.fork(), cmds + [cmd])
+        except TRACE_ERRORS:
+            continue
+        cmds.append(cmd)
+    result = execute_trace(device, cmds)
+
+    cb = SMALL.cache_block_bits
+    last_act, open_rows = {}, {}
+    payloads = iter(result.payloads)
+    assert len(result.outcomes) == len(cmds)
+    for cmd, (time, kind, active) in zip(cmds, result.outcomes):
+        bank = (cmd.bank_group, cmd.bank)
+        if kind in ("ACT", "PRE"):
+            assert len({r // 4 for r in active}) <= 1
+        if kind == "ACT":
+            if not open_rows.get(bank):
+                assert len(active) == 1     # legal timing opens one row
+            last_act[bank] = time
+            open_rows[bank] = active
+        elif kind == "PRE":
+            if time - last_act.get(bank, -np.inf) >= t.tRAS:
+                assert active == frozenset()
+            open_rows[bank] = active
+        elif kind == "READ_BLOCK":
+            senses = [bits for when, key, bits in result.sensed
+                      if key == bank and last_act[bank] < when <= time]
+            assert len(senses) == 1
+            block = cmd.args[0]
+            np.testing.assert_array_equal(
+                next(payloads), senses[0][block * cb:(block + 1) * cb])
+        elif kind == "COPY_ROW":
+            src, dst = cmd.args
+            assert SMALL.subarray_of_row(src) == SMALL.subarray_of_row(dst)

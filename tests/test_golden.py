@@ -13,7 +13,8 @@ import pytest
 
 from quactrng import build_device, calibrated_variation
 from quactrng.calibrate import expected_bitline_entropy
-from quactrng.engine import Command, execute_trace
+from quactrng.config import SegmentAddress
+from quactrng.engine import Command, execute_trace, run_quac
 from quactrng.entropy import (build_sib_plan, characterize,
                               default_temperature_bins)
 from quactrng.perf import baseline, schedule
@@ -98,9 +99,13 @@ def test_golden_trace_payload(device):
         Command(405.0 + t.tRCD, "READ_BLOCK", 0, 0, (0,)),
         Command(500.0, "PRE", 0, 0),
     ]
-    result = execute_trace(device, cmds)
+    result = execute_trace(device.fork(), cmds)
     assert sha256_hex(pack_bits(result.payload_bits())) == (
-        "150afb4e6eabd7405c6a04d60f0f927fac552ba1b725311eda20e7f6e9987375")
+        "6f24dbacb849729c4bfa8f97c3be37f69d7a4915e5a8bfa4d3238806902d6658")
+    # the trace senses the QUAC once, on the stream run_quac draws from
+    np.testing.assert_array_equal(
+        result.payload_bits(),
+        run_quac(device, SegmentAddress(0, 0, 3), "0111")[:512])
     assert result.bus_busy_ns == 1739.9999999999998
 
 
