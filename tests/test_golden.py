@@ -65,6 +65,31 @@ def test_golden_stream_drift(device):
         "9f462d6e79967ad237bd3c55c5d849ffc1c10471b4186340c3fe32e43a564b2f")
 
 
+def key_sized_requests():
+    """About 3000 seeded key-sized requests of 1-300 bits, with the word
+    edges 1, 255, 256, 257 and 512 among them."""
+    sizes = np.random.default_rng(2021).integers(1, 301, 3000).tolist()
+    for position, n_bits in zip((0, 700, 1400, 2100, 2800),
+                                (1, 255, 256, 257, 512)):
+        sizes.insert(position, n_bits)
+    return sizes
+
+
+def test_golden_key_sized_requests(device):
+    emap = characterize(device, "0111", range(0, 1024, 16))
+    plan = build_sib_plan([emap], bins=[(30.0, 90.0)])
+    layout, buffer = ReservedLayout(), RngBuffer()
+    out, iteration = [], 0
+    for n_bits in key_sized_requests():
+        bits, iteration = stream_bits(device, layout, plan, n_bits, buffer,
+                                      50.0, iteration)
+        assert bits.shape == (n_bits,)
+        out.append(bits)
+    assert iteration == 124
+    assert sha256_hex(pack_bits(np.concatenate(out))) == (
+        "d07ed170bd8d6c68f2fd6575fb02e13fe9ad310e8fda10b8d3aa1e1386e28bca")
+
+
 @pytest.mark.parametrize("method,trials,digest", [
     pytest.param(
         "exact", 50,
