@@ -134,13 +134,34 @@ def copy_row(device, bank_group, bank, src_row, dst_row, reserved_rows=()):
                      if fill is None else fill)
 
 
+def _check_address(geometry, cmd):
+    """Raise ConfigError unless the command's bank, and the rows an ACT,
+    WRITE_ROW or COPY_ROW names, lie inside the geometry."""
+    g = geometry
+    if not (0 <= cmd.bank_group < g.bank_groups
+            and 0 <= cmd.bank < g.banks_per_group):
+        raise ConfigError(
+            f"{cmd.kind} at {cmd.issue_time} ns: bank ({cmd.bank_group}, "
+            f"{cmd.bank}) outside the {g.bank_groups}x{g.banks_per_group} "
+            f"banks")
+    rows = cmd.args[:2] if cmd.kind == "COPY_ROW" else \
+        cmd.args[:1] if cmd.kind in ("ACT", "WRITE_ROW") else ()
+    for row in rows:
+        if not 0 <= row < g.rows_per_bank:
+            raise ConfigError(
+                f"{cmd.kind} at {cmd.issue_time} ns: row {row} outside the "
+                f"bank's {g.rows_per_bank} rows")
+
+
 def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
     """Run an ordered command trace; returns a :class:`TraceResult`.
 
-    Reads are only legal while a row is open and tRCD has elapsed since
-    the last ACT. Bus accounting: every command occupies one command slot;
-    READ_BLOCK and the blocks of WRITE_ROW additionally occupy one data
-    burst each; COPY_ROW occupies an ACT-PRE-ACT slot triple.
+    A bank, ACT or WRITE_ROW row, or COPY_ROW source or destination outside
+    the geometry raises ConfigError. Reads are only legal while a row is
+    open and tRCD has elapsed since the last ACT. Bus accounting: every
+    command occupies one command slot; READ_BLOCK and the blocks of
+    WRITE_ROW additionally occupy one data burst each; COPY_ROW occupies an
+    ACT-PRE-ACT slot triple.
     """
     t = device.timings
     result = TraceResult()
@@ -164,6 +185,7 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
         return row_buffer[key]
 
     for cmd in commands:
+        _check_address(device.geometry, cmd)
         key = (cmd.bank_group, cmd.bank)
         if key in last_time and cmd.issue_time <= last_time[key]:
             raise TimingViolation(

@@ -144,7 +144,13 @@ def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
 
 @dataclass
 class RngBuffer:
-    """Bounded FIFO of 256-bit words with a low-water refill policy."""
+    """Bounded FIFO of 256-bit words with a low-water refill policy.
+
+    The buffer needs a refill while it holds fewer than ``refill_fraction *
+    capacity_bits`` bits. That mark is positive, so an empty buffer always
+    needs one. While the buffer is at or above the mark, :func:`stream_bits`
+    serves a request by popping words and does no refill work.
+    """
 
     capacity_bits: int = 16384
     refill_fraction: float = 0.5
@@ -163,7 +169,8 @@ class RngBuffer:
 
     @property
     def needs_refill(self):
-        return self.fill_bits < self.refill_fraction * self.capacity_bits
+        return WORD_BITS * len(self._words) \
+            < self.refill_fraction * self.capacity_bits
 
     def push(self, word):
         if self.fill_bits + WORD_BITS > self.capacity_bits:
@@ -181,21 +188,24 @@ def stream_bits(device, layout, plan, n_bits, buffer=None, temperature=50.0,
                 start_iteration=0):
     """Produce exactly ``n_bits`` of output through the FIFO buffer.
 
-    Whenever the buffer drops below its refill threshold, full iterations
-    run until the buffer is full again (each refill is recorded in
-    ``buffer.events``). Words leave in the order they were generated: a
-    word that finds the buffer full pushes out the oldest buffered word.
-    Returns (bits, next_iteration).
+    A request is served by popping whole words. While the buffer is at or
+    above its refill mark that is all it costs, and a one-word request
+    returns a view of the popped word, which no buffered word shares.
+    Whenever the buffer drops below the mark, full iterations run until the
+    buffer is full again (each refill is recorded in ``buffer.events``).
+    Words leave in the order they were generated: a word that finds the
+    buffer full pushes out the oldest buffered word. Returns (bits,
+    next_iteration).
     """
     if n_bits <= 0:
         raise ValueError("n_bits must be > 0")
     if buffer is None:
         buffer = RngBuffer()
     out = []
-    produced = 0
+    n_words = -(-n_bits // WORD_BITS)
     iteration = start_iteration
-    while produced < n_bits:
-        if buffer.needs_refill or buffer.fill_bits == 0:
+    while len(out) < n_words:
+        if buffer.needs_refill:
             buffer.events.append(("refill", iteration))
             while True:
                 words = generate_iteration(device, layout, plan,
@@ -207,16 +217,13 @@ def stream_bits(device, layout, plan, n_bits, buffer=None, temperature=50.0,
                     if not buffer.push(w):
                         # buffer full: the oldest word spills to the output
                         out.append(buffer.pop())
-                        produced += WORD_BITS
                         buffer.push(w)
                         full = True
                 if full or not buffer.needs_refill:
                     break
-        word = buffer.pop()
-        out.append(word)
-        produced += WORD_BITS
-    bits = np.concatenate(out)[:n_bits]
-    return bits, iteration
+        out.append(buffer.pop())
+    bits = out[0] if len(out) == 1 else np.concatenate(out)
+    return bits[:n_bits], iteration
 
 
 def write_binary(path, bits):

@@ -152,6 +152,25 @@ def test_execute_trace_rejects_block_outside_row(device):
             execute_trace(device.fork(), cmds)
 
 
+@pytest.mark.parametrize("cmds,match", [
+    ([Command(0.0, "ACT", 0, 0, (32769,)),
+      Command(100.0, "READ_BLOCK", 0, 0, (0,))],
+     r"ACT at 0.0 ns: row 32769 outside the bank's 32768 rows"),
+    ([Command(0.0, "WRITE_ROW", 0, 0, (32768, 1))], r"WRITE_ROW .* row 32768"),
+    ([Command(0.0, "COPY_ROW", 0, 0, (-4, -3))], r"COPY_ROW .* row -4"),
+    ([Command(0.0, "COPY_ROW", 0, 0, (4, -3))], r"COPY_ROW .* row -3"),
+    ([Command(0.0, "ACT", 9, 7, (12,)),
+      Command(100.0, "READ_BLOCK", 9, 7, (0,))],
+     r"ACT at 0.0 ns: bank \(9, 7\) outside the 4x4 banks"),
+    ([Command(0.0, "PRE", 0, 4)], r"PRE .* bank \(0, 4\)"),
+    ([Command(0.0, "READ_BLOCK", -1, 0, (0,))], r"READ_BLOCK .* bank \(-1, 0\)"),
+], ids=["act-row", "write-row", "copy-src", "copy-dst", "act-bank", "pre-bank",
+        "read-bank-group"])
+def test_execute_trace_rejects_address_outside_geometry(device, cmds, match):
+    with pytest.raises(ConfigError, match=match):
+        execute_trace(device, cmds)
+
+
 def test_execute_trace_requires_increasing_times(device):
     cmds = [Command(10.0, "ACT", 0, 0, (0,)),
             Command(10.0, "PRE", 0, 0)]
@@ -363,10 +382,13 @@ def test_sensed_row_is_shared_and_read_only(device):
 # ---------------------------------------------------------------------------
 
 TRACE_ERRORS = (TimingViolation, DecoderError, ConfigError, ValueError)
-rows = st.integers(0, 3) | st.integers(0, SMALL.rows_per_bank - 1)
+# -1 and rows_per_bank lie outside the bank
+rows = st.integers(0, 3) | st.integers(-1, SMALL.rows_per_bank)
+# (bank group, bank); the last three lie outside the SMALL device
+banks = st.sampled_from([(0, 0), (1, 0)] * 8 + [(2, 0), (0, 1), (-1, 0)])
 trace_steps = st.tuples(
     st.sampled_from(["ACT", "PRE", "READ_BLOCK", "WRITE_ROW", "COPY_ROW"]),
-    st.integers(0, 1),                       # bank group
+    banks,
     st.sampled_from([2.5, 13.5, 32.0]) | st.floats(0.0, 60.0),  # gap
     rows,                                    # ACT, WRITE_ROW and COPY_ROW row
     rows,                                    # COPY_ROW destination
@@ -375,29 +397,52 @@ trace_steps = st.tuples(
 )
 
 
+def outside_geometry(cmd):
+    """Whether the command names a bank or row the SMALL device lacks."""
+    rows = {"ACT": cmd.args[:1], "WRITE_ROW": cmd.args[:1],
+            "COPY_ROW": cmd.args}.get(cmd.kind, ())
+    return not (0 <= cmd.bank_group < SMALL.bank_groups
+                and 0 <= cmd.bank < SMALL.banks_per_group) \
+        or any(not 0 <= r < SMALL.rows_per_bank for r in rows)
+
+
 @given(st.lists(trace_steps, min_size=8, max_size=32))
-@example([("WRITE_ROW", 0, 1.0, 0, 0, 0, 0), ("ACT", 0, 1.0, 0, 0, 0, 0),
-          ("PRE", 0, 2.5, 0, 0, 0, 0), ("ACT", 0, 2.5, 3, 0, 0, 0),     # QUAC
-          ("READ_BLOCK", 0, 13.5, 0, 0, 3, 0),
-          ("PRE", 0, 2.5, 0, 0, 0, 0),                                 # early
-          ("READ_BLOCK", 0, 2.5, 0, 0, 4, 0), ("PRE", 0, 32.0, 0, 0, 0, 0)])
+@example([("WRITE_ROW", (0, 0), 1.0, 0, 0, 0, 0),
+          ("ACT", (0, 0), 1.0, 0, 0, 0, 0),
+          ("PRE", (0, 0), 2.5, 0, 0, 0, 0),
+          ("ACT", (0, 0), 2.5, 3, 0, 0, 0),                            # QUAC
+          ("READ_BLOCK", (0, 0), 13.5, 0, 0, 3, 0),
+          ("PRE", (0, 0), 2.5, 0, 0, 0, 0),                            # early
+          ("READ_BLOCK", (0, 0), 2.5, 0, 0, 4, 0),
+          ("PRE", (0, 0), 32.0, 0, 0, 0, 0)])
+@example([("ACT", (0, 0), 1.0, SMALL.rows_per_bank, 0, 0, 0),
+          ("COPY_ROW", (0, 0), 1.0, 4, -1, 0, 0),
+          ("WRITE_ROW", (1, 0), 1.0, -1, 0, 0, 0),
+          ("ACT", (2, 0), 1.0, 0, 0, 0, 0),
+          ("READ_BLOCK", (0, 1), 1.0, 0, 0, 0, 0),
+          ("PRE", (-1, 0), 1.0, 0, 0, 0, 0),
+          ("COPY_ROW", (1, 0), 1.0, 4, 5, 0, 0),
+          ("ACT", (1, 0), 1.0, 4, 0, 0, 0)])
 @settings(max_examples=100, deadline=None)
 def test_random_traces_keep_invariants(steps):
     """Every trace raises one of TRACE_ERRORS or keeps the invariants. The
     trace is grown one generated command at a time; a command that makes
-    it raise is dropped, and the invariants are checked on what is kept."""
+    it raise is dropped, and the invariants are checked on what is kept. A
+    command outside the geometry must raise ConfigError."""
     device = build_device(SMALL, variation=calibrated_variation())
     t = device.timings
     clock, cmds = {}, []
-    for kind, bg, gap, row, dst, block, fill in steps:
-        clock[bg] = clock.get(bg, 0.0) + gap
+    for kind, (bg, bank), gap, row, dst, block, fill in steps:
+        clock[bg, bank] = clock.get((bg, bank), 0.0) + gap
         args = {"ACT": (row,), "PRE": (), "READ_BLOCK": (block,),
                 "WRITE_ROW": (row, fill), "COPY_ROW": (row, dst)}[kind]
-        cmd = Command(clock[bg], kind, bg, 0, args)
+        cmd = Command(clock[bg, bank], kind, bg, bank, args)
         try:
             execute_trace(device.fork(), cmds + [cmd])
-        except TRACE_ERRORS:
+        except TRACE_ERRORS as exc:
+            assert isinstance(exc, ConfigError) or not outside_geometry(cmd)
             continue
+        assert not outside_geometry(cmd)
         cmds.append(cmd)
     result = execute_trace(device, cmds)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quactrng import build_device, calibrated_variation
@@ -181,6 +181,49 @@ def test_buffer_invariants():
     assert buf.needs_refill
     with pytest.raises(ValueError):
         RngBuffer(capacity_bits=100)
+
+
+@given(st.integers(256, 65536), st.floats(0.0, 1.0, exclude_min=True))
+@example(1024, 0.5)             # a mark of exactly two words
+@example(1000, 0.3)             # a mark of 300 bits, between two words
+@example(256, 1.0)
+@example(65536, 5e-324)         # the smallest positive mark
+@settings(max_examples=100, deadline=None)
+def test_needs_refill_is_the_low_water_compare(capacity_bits, fraction):
+    buf = RngBuffer(capacity_bits, fraction)
+    word = np.zeros(256, dtype=np.uint8)
+    while True:
+        assert buf.needs_refill == (
+            buf.fill_bits < fraction * capacity_bits)
+        if not buf.push(word):
+            break
+    # the mark is positive, so an empty buffer always needs a refill
+    assert RngBuffer(capacity_bits, fraction).needs_refill
+
+
+# key-sized requests, with the word edges
+KEY_SIZES = [1, 32, 255, 256, 257, 128, 512, 64, 300] * 20
+
+
+@pytest.mark.parametrize("capacity_bits", [256, None])
+def test_returned_bits_alias_no_buffered_word(device, plan, capacity_bits):
+    """A returned array shares no memory with a buffered word, so writing
+    into it changes no later request's bits."""
+    def serve(scribble):
+        buf = RngBuffer() if capacity_bits is None \
+            else RngBuffer(capacity_bits)
+        replay, iteration, served = device.fork(), 0, []
+        for n_bits in KEY_SIZES:
+            bits, iteration = stream_bits(replay, ReservedLayout(), plan,
+                                          n_bits, buf, 50.0, iteration)
+            assert not any(np.shares_memory(bits, w) for w in buf._words)
+            served.append(bits.copy())
+            if scribble:
+                bits ^= 1
+        return served
+
+    for clean, scribbled in zip(serve(False), serve(True)):
+        np.testing.assert_array_equal(clean, scribbled)
 
 
 def test_stream_exact_length(device, plan):

@@ -1,22 +1,54 @@
-"""Tooling tests: the benchmark's span tracer can find what it wraps."""
+"""Tooling tests: the benchmark's span tracer can find what it wraps, and
+its buffer subclass still counts spills."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from quactrng import build_device, calibrated_variation
+from quactrng.entropy import build_sib_plan, characterize
+from quactrng.pipeline import ReservedLayout, generate_iteration, stream_bits
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_trace_targets_resolve(monkeypatch):
-    # import perfbench/run.py without writing bytecode next to it
+@pytest.fixture()
+def run(monkeypatch):
+    """perfbench/run.py, imported without writing bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_resolve(run):
     missing = [f"{name}: {getattr(owner, '__name__', owner)}.{attribute}"
                for name, owners, _ in run.trace_targets(run.load_program())
                for owner, attribute in owners
                if not hasattr(owner, attribute)]
     assert not missing
+
+
+def test_spill_counting_buffer_counts_spills(run):
+    device = build_device(variation=calibrated_variation())
+    plan = build_sib_plan([characterize(device, "0111", range(0, 1024, 64))],
+                          bins=[(30.0, 90.0)])
+    pipeline = run.load_program().pipeline
+    buffer = type(run.spill_counting_buffer(pipeline))(capacity_bits=256)
+    n_bits = 20_000
+    bits, next_iteration = stream_bits(device.fork(), ReservedLayout(), plan,
+                                       n_bits, buffer=buffer)
+    replay = device.fork()
+    words = [w for i in range(next_iteration)
+             for w in generate_iteration(replay, ReservedLayout(), plan,
+                                         50.0, i)]
+    np.testing.assert_array_equal(bits, np.concatenate(words)[:n_bits])
+    assert buffer.spilled > 0
+    assert buffer.events
+    assert all(kind == "refill" for kind, _ in buffer.events)
