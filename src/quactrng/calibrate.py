@@ -11,11 +11,13 @@ finite-trial bias, and the published numbers come from exactly such
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.special import ndtr
 from scipy.stats import binom
 
-from .config import DramGeometry, VariationProfile
+from .config import DramGeometry, calibrated_variation
 from .entropy import binary_entropy
 
 __all__ = [
@@ -29,7 +31,7 @@ BLOCK_BITS = DramGeometry().cache_block_bits
 SEGMENT_BITS = DramGeometry().bitlines_per_row
 
 
-def expected_bitline_entropy(bias, trials=1000, offset_nodes=41):
+def expected_bitline_entropy(bias, trials=1000):
     """Expected measured entropy of one bitline whose normalized deviation
     is ``bias`` plus a standard-normal sense-amp offset (both in units of
     the thermal noise sigma).
@@ -37,10 +39,10 @@ def expected_bitline_entropy(bias, trials=1000, offset_nodes=41):
     With ``trials=None`` the analytic infinite-trial entropy is returned;
     otherwise the expectation of the plug-in estimator H(k/trials) with
     k ~ Binomial(trials, Phi(bias + offset)) is computed by Gauss-Hermite
-    quadrature over the offset. Accepts an array of biases.
+    quadrature over the offset at 41 nodes. Accepts an array of biases.
     """
     bias = np.atleast_1d(np.asarray(bias, dtype=np.float64))
-    x, w = np.polynomial.hermite.hermgauss(offset_nodes)
+    x, w = np.polynomial.hermite.hermgauss(41)
     z = bias[:, None] + np.sqrt(2.0) * x[None, :]
     p = ndtr(z)
     if trials is None:
@@ -54,18 +56,17 @@ def expected_bitline_entropy(bias, trials=1000, offset_nodes=41):
     return out if out.shape != (1,) else float(out[0])
 
 
-def _mean_block_entropy(bias0, amplitude, trials):
+def _mean_block_entropy(bias0, amplitude):
     """Average expected cache-block entropy over one spatial wave."""
     theta = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     biases = bias0 * (1.0 + amplitude * np.sin(theta))
-    return BLOCK_BITS * float(
-        np.mean(expected_bitline_entropy(biases, trials)))
+    return BLOCK_BITS * float(np.mean(expected_bitline_entropy(biases)))
 
 
-def _max_segment_entropy(bias0, amplitude, trials):
+def _max_segment_entropy(bias0, amplitude):
     """Expected segment entropy at the wave trough (weakest bias)."""
     return SEGMENT_BITS * float(
-        expected_bitline_entropy(bias0 * (1.0 - amplitude), trials))
+        expected_bitline_entropy(bias0 * (1.0 - amplitude)))
 
 
 def _bisect(func, lo, hi, iters=26):
@@ -82,36 +83,29 @@ def _bisect(func, lo, hi, iters=26):
 
 
 def fit_variation(master_seed=0x5EED, target_block=DEFAULT_TARGET_BLOCK,
-                  target_max_segment=DEFAULT_TARGET_MAX_SEGMENT,
-                  trials=1000, wave_period=512.0, noise_sigma=0.02,
-                  jitter_sigma=0.004):
+                  target_max_segment=DEFAULT_TARGET_MAX_SEGMENT):
     """Fit first-row weight and spatial-wave amplitude against the two
-    entropy targets; returns the fitted :class:`VariationProfile`.
+    entropy targets at 1000 trials; returns
+    :func:`~quactrng.config.calibrated_variation` with those two fields
+    replaced, so every other field (noise sigmas, later-row weight, jitter,
+    wave period) has one source.
 
     The first-row weight sets the mean deviation bias (entropy falls as
     the weight rises above three times the later-row weight); the wave
     amplitude sets how far the best (trough) segment rises above the
     average. The two are solved by alternating bisections.
     """
+    base = calibrated_variation(master_seed)
     amplitude = 0.05
     bias0 = 3.8
     for _ in range(3):
         bias0 = _bisect(
-            lambda b: _mean_block_entropy(b, amplitude, trials) - target_block,
+            lambda b: _mean_block_entropy(b, amplitude) - target_block,
             1.0, 8.0)
         amplitude = _bisect(
-            lambda a: _max_segment_entropy(bias0, a, trials)
-            - target_max_segment,
+            lambda a: _max_segment_entropy(bias0, a) - target_max_segment,
             0.0, 0.3)
     # deviation bias = 0.5 * (w_first - 3 * w_later) / noise_sigma
-    first_row_weight = 3.0 + 2.0 * bias0 * noise_sigma
-    return VariationProfile(
-        master_seed=master_seed,
-        sa_offset_sigma=noise_sigma,
-        thermal_noise_sigma=noise_sigma,
-        first_row_weight=round(first_row_weight, 4),
-        later_row_weight=1.0,
-        segment_weight_jitter_sigma=jitter_sigma,
-        spatial_wave_amplitude=round(amplitude, 4),
-        spatial_wave_period=wave_period,
-    )
+    first_row_weight = 3.0 + 2.0 * bias0 * base.thermal_noise_sigma
+    return replace(base, first_row_weight=round(first_row_weight, 4),
+                   spatial_wave_amplitude=round(amplitude, 4))

@@ -65,9 +65,8 @@ def _write_json(path, data):
 
 def _cmd_device_build(args):
     config = _load_config(args)
-    out = _output_dir(args) / "device.json"
-    config.to_json(out)
-    print(out)
+    _write_json(_output_dir(args) / "device.json",
+                _stamp(config, config.to_dict()))
     return 0
 
 
@@ -178,15 +177,13 @@ def _cmd_generate(args):
     return 0
 
 
-def _read_bits(path, n_bits=None):
+def _read_bits(path):
     data = Path(path).read_bytes()
     if set(data[:64]) <= set(b"01\n\r"):
         text = data.decode().strip()
         bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
-        bits = bits[bits <= 1]
-    else:
-        bits = unpack_bits(data, 8 * len(data))
-    return bits[:n_bits] if n_bits else bits
+        return bits[bits <= 1]
+    return unpack_bits(data, 8 * len(data))
 
 
 def _cmd_test(args):

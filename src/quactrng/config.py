@@ -1,8 +1,9 @@
 """Static device description: geometry, timings, variation profile, patterns.
 
 All configuration objects are plain dataclasses that validate their
-invariants on construction and round-trip through a JSON-compatible dict
-(see ``DeviceConfig.from_json`` / ``DeviceConfig.to_json``).
+invariants on construction. ``DeviceConfig`` round-trips through a
+JSON-compatible dict (``to_dict`` / ``from_dict``) and loads from a file with
+``from_json``, which ignores top-level keys other than its three sections.
 """
 
 from __future__ import annotations
@@ -254,11 +255,6 @@ class DeviceConfig:
             timings=build(TimingParams, data.get("timings", {})),
             variation=build(VariationProfile, data.get("variation", {})),
         )
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
     @staticmethod
     def from_json(path):

@@ -117,7 +117,7 @@ def _pattern_probabilities(device, address, pattern, temperature):
 
 
 def characterize(device, pattern, segments, trials=1000, temperature=50.0,
-                 method="binomial", experiment_seed=0, workers=None):
+                 method="binomial", workers=None):
     """Measure per-bitline entropy for a pattern over a set of segments.
 
     Methods:
@@ -128,7 +128,8 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
       so this is distributionally identical to the exact loop and orders of
       magnitude faster.
     - ``"exact"``: performs ``trials`` full quadruple activations per
-      segment and counts ones directly.
+      segment and counts ones directly; trial ``t`` senses with experiment
+      seed ``t + 1``.
     - ``"analytic"``: no sampling; entropy is the exact H(p) per bitline
       (the infinite-trial limit).
     """
@@ -149,8 +150,8 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
             return binary_entropy(p).astype(np.float32)
         if method == "binomial":
             p = _pattern_probabilities(device, address, pattern, temperature)
-            rng = stream(device.variation.master_seed, TAG_EXPERIMENT,
-                         experiment_seed, address.bank_group, address.bank,
+            rng = stream(device.variation.master_seed, TAG_EXPERIMENT, 0,
+                         address.bank_group, address.bank,
                          address.segment_index)
             ones = rng.binomial(trials, p)
             return bitline_entropy(ones, trials).astype(np.float32)
@@ -158,7 +159,7 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
         ones = np.zeros(device.geometry.bitlines_per_row, dtype=np.int64)
         for t in range(trials):
             ones += run_quac(local, address, pattern=pattern,
-                             experiment_seed=(experiment_seed << 20) + t + 1,
+                             experiment_seed=t + 1,
                              temperature=temperature)
         return bitline_entropy(ones, trials).astype(np.float32)
 
@@ -196,14 +197,13 @@ def _autocorrelation(series):
                      for k in range(n // 2 + 1)])
 
 
-def spatial_profile(emap, period_threshold=0.2):
+def spatial_profile(emap):
     """Spatial summary of an entropy map.
 
     Returns a dict with the per-segment entropy series, the detected
     dominant spatial period (autocorrelation peak past the first zero
-    crossing; None when that peak is below ``period_threshold``), the peak
-    autocorrelation value, and the per-cache-block entropy curve averaged
-    over segments.
+    crossing; None when that peak is below 0.2), the peak autocorrelation
+    value, and the per-cache-block entropy curve averaged over segments.
     """
     if len(emap.segments) < 2:
         raise ValueError("spatial profile needs at least 2 segments")
@@ -219,7 +219,7 @@ def spatial_profile(emap, period_threshold=0.2):
         zero = int(negative[0])
         lag = zero + int(np.argmax(r[zero:]))
         peak = float(r[lag])
-        if peak >= period_threshold:
+        if peak >= 0.2:
             period = lag
     return {
         "segment_entropy": series,
@@ -284,11 +284,6 @@ class SibPlan:
         return SibPlan(bins=[tuple(b) for b in data["bins"]], entries=entries,
                        pattern=data.get("pattern", "0111"),
                        min_block_entropy=data.get("min_block_entropy", 256.0))
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
     @staticmethod
     def from_json(path):

@@ -58,17 +58,9 @@ class ScheduleReport:
 
     mode: str
     iteration_ns: float
-    sib: int
-    banks: int
+    bits_per_iteration: int
     latency_256_ns: float
     hash_bottleneck: bool = False
-    bits_override: int | None = None    # baselines with non-256-bit grains
-
-    @property
-    def bits_per_iteration(self):
-        if self.bits_override is not None:
-            return self.bits_override
-        return WORD_BITS * self.sib * self.banks
 
     @property
     def throughput_gbps(self):
@@ -140,14 +132,11 @@ def schedule(mode, timings=None, sib=7, hash_params=None):
     latency = init_first + (DEFAULT_T1 + DEFAULT_T2 + t.tRCD) \
         + blocks_per_word * col + t.CL + hp.latency_ns
 
-    report = ScheduleReport(mode=mode, iteration_ns=iteration, sib=sib,
-                            banks=banks, latency_256_ns=latency)
-    if report.throughput_gbps > hp.throughput_gbps:
-        iteration = report.bits_per_iteration / hp.throughput_gbps
-        report = ScheduleReport(mode=mode, iteration_ns=iteration, sib=sib,
-                                banks=banks, latency_256_ns=latency,
-                                hash_bottleneck=True)
-    return report
+    bits = WORD_BITS * sib * banks
+    hash_bottleneck = bits / iteration > hp.throughput_gbps
+    if hash_bottleneck:
+        iteration = bits / hp.throughput_gbps
+    return ScheduleReport(mode, iteration, bits, latency, hash_bottleneck)
 
 
 def baseline(mode, timings=None, hash_params=None):
@@ -195,9 +184,7 @@ def baseline(mode, timings=None, hash_params=None):
         bits = 4 * 3 * WORD_BITS
         latency = _copy_time(t) + fail + 32 * burst + t.CL + hp.latency_ns
 
-    return ScheduleReport(mode=mode, iteration_ns=iteration,
-                          sib=max(bits // WORD_BITS, 1), banks=1,
-                          latency_256_ns=latency, bits_override=bits)
+    return ScheduleReport(mode, iteration, bits, latency)
 
 
 def _throughput(mode, timings, sib, hash_params):
@@ -206,10 +193,9 @@ def _throughput(mode, timings, sib, hash_params):
     return baseline(mode, timings, hash_params).throughput_gbps
 
 
-def project(modes, transfer_rates, timings=None, sib=7, channels=CHANNELS,
-            hash_params=None):
+def project(modes, transfer_rates, timings=None, sib=7, hash_params=None):
     """Throughput per mode per transfer rate, plus ratios of the full
-    multi-channel quadruple-activation generator over each baseline.
+    ``CHANNELS``-channel quadruple-activation generator over each baseline.
     """
     t = timings or TimingParams()
     if any(r <= 0 for r in transfer_rates):
@@ -219,7 +205,7 @@ def project(modes, transfer_rates, timings=None, sib=7, channels=CHANNELS,
         scaled = t.scaled_to(rate)
         row = {m: _throughput(m, scaled, sib, hash_params) for m in modes}
         if "rc-bgp" in modes:
-            quac_all = channels * row["rc-bgp"]
+            quac_all = CHANNELS * row["rc-bgp"]
             for m in modes:
                 if m in BASELINE_MODES:
                     row[f"quac_vs_{m}"] = quac_all / row[m]
@@ -237,11 +223,12 @@ def project_to_csv(path, table):
             w.writerow([rate] + [f"{table[rate][c]:.4f}" for c in cols])
 
 
-def idle_scaled_throughput(per_channel_gbps, idle_fraction, channels=CHANNELS):
-    """System throughput when generation runs only during idle periods."""
+def idle_scaled_throughput(per_channel_gbps, idle_fraction):
+    """System throughput of ``CHANNELS`` channels when generation runs only
+    during idle periods."""
     if not 0.0 <= idle_fraction <= 1.0:
         raise ValueError("idle_fraction must be in [0, 1]")
-    return channels * per_channel_gbps * idle_fraction
+    return CHANNELS * per_channel_gbps * idle_fraction
 
 
 def storage_bits(row_addr_bits=18, col_addr_bits=10, temp_ranges=10,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, SegmentAddress
+from .config import ConfigError, DataPattern, SegmentAddress
 from .engine import copy_row, run_quac
 
 __all__ = [
@@ -106,10 +106,11 @@ def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
     """Run one full pipeline iteration; returns a list of 256-bit words
     (0/1 uint8 arrays), 4 x SIB of them.
 
-    Per bank: rows are initialized to the "0111" layout by in-DRAM copy
-    (row 0 from the all-0s source, rows 1-3 from the all-1s source), a
-    quadruple activation is performed, the plan's column ranges are read
-    out, and each range is hashed into one 256-bit word.
+    Per bank: each segment row is initialized to the plan's pattern by
+    in-DRAM copy from the all-0s or all-1s source row (row 0 from all-0s
+    and rows 1-3 from all-1s for "0111"), a quadruple activation is
+    performed, the plan's column ranges are read out, and each range is
+    hashed into one 256-bit word.
     """
     bin_index = plan.bin_for(temperature)
     entry = plan.entries[bin_index]
@@ -122,19 +123,17 @@ def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
             raise ConfigError(
                 f"plan bin {bin_index}: range [{start}, {end}) is not a "
                 f"non-empty column range of the {n}-bitline row")
+    fills = DataPattern(plan.pattern).fills
     seg_index = entry["segment"].segment_index
     layout.ensure_sources(device, seg_index)
-    zeros_row, ones_row = layout.source_rows(device.geometry, seg_index)
-    reserved = (zeros_row, ones_row)
+    sources = layout.source_rows(device.geometry, seg_index)
 
     words = []
     for bg, bank in layout.banks:
         address = SegmentAddress(bg, bank, seg_index)
-        base = address.base_row
-        copy_row(device, bg, bank, zeros_row, base, reserved_rows=reserved)
-        for r in (1, 2, 3):
-            copy_row(device, bg, bank, ones_row, base + r,
-                     reserved_rows=reserved)
+        for row, fill in zip(address.rows, fills):
+            copy_row(device, bg, bank, sources[fill], row,
+                     reserved_rows=sources)
         bits = run_quac(device, address, pattern=None,
                         experiment_seed=iteration, temperature=temperature)
         for start, end, _ in ranges:
@@ -196,6 +195,11 @@ def stream_bits(device, layout, plan, n_bits, buffer=None, temperature=50.0,
     Words leave in the order they were generated: a word that finds the
     buffer full pushes out the oldest buffered word. Returns (bits,
     next_iteration).
+
+    Iterations are numbered from ``start_iteration``, and each number fixes
+    its words. A caller making several requests must pass the returned
+    ``next_iteration`` back in: otherwise a later request replays words
+    already served (two fresh calls return identical bits).
     """
     if n_bits <= 0:
         raise ValueError("n_bits must be > 0")

@@ -5,7 +5,6 @@ with p-value computation and the population pass-rate criterion.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -185,9 +184,6 @@ class TestReport:
     alpha: float = DEFAULT_ALPHA
     context: dict = field(default_factory=dict)
 
-    def passed(self, name):
-        return self.p_value(name) > self.alpha
-
     def p_value(self, name):
         for n, p in self.results:
             if n == name:
@@ -208,13 +204,8 @@ class TestReport:
             ],
         }
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
-
-def run_tests(bits, alpha=DEFAULT_ALPHA, context=None):
+def run_tests(bits, alpha=DEFAULT_ALPHA):
     """Run the full subset on one sequence and return a TestReport.
 
     Sequences shorter than 1 Mbit run only the length-appropriate tests;
@@ -239,9 +230,8 @@ def run_tests(bits, alpha=DEFAULT_ALPHA, context=None):
         results.append(("approximate-entropy", approximate_entropy(bits)))
     else:
         skipped += ["serial-1", "serial-2", "approximate-entropy"]
-    ctx = dict(context or {})
-    ctx.update({"length": n, "skipped": skipped})
-    return TestReport(results=results, alpha=alpha, context=ctx)
+    return TestReport(results=results, alpha=alpha,
+                      context={"length": n, "skipped": skipped})
 
 
 def population_pass(reports, alpha_pop=0.005):

@@ -11,8 +11,7 @@ import pytest
 from quactrng import build_device, calibrated_variation
 from quactrng.config import DataPattern, TimingParams
 from quactrng.device import DecoderState, decoder_step
-from quactrng.entropy import (bitline_entropy, build_sib_plan, characterize,
-                              spatial_profile)
+from quactrng.entropy import bitline_entropy, characterize, spatial_profile
 from quactrng.perf import baseline, idle_scaled_throughput, project, schedule
 from quactrng.pipeline import (ReservedLayout, pack_bits, sha256_digest,
                                stream_bits, vnc)
@@ -30,17 +29,6 @@ def _report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def device():
     return build_device(variation=calibrated_variation())
-
-
-@pytest.fixture(scope="module")
-def wave_map(device):
-    """"0111" characterization over two spatial wave periods."""
-    return characterize(device, "0111", range(1024), trials=1000)
-
-
-@pytest.fixture(scope="module")
-def plan(wave_map):
-    return build_sib_plan([wave_map], bins=[(30.0, 90.0)])
 
 
 def test_01_decoder_truth(device):

@@ -7,6 +7,7 @@ import pytest
 
 from quactrng import __version__, build_device, calibrated_variation
 from quactrng.cli import main
+from quactrng.config import DeviceConfig
 from quactrng.entropy import build_sib_plan, characterize
 
 
@@ -18,6 +19,10 @@ def test_device_build(tmp_path):
     assert run(tmp_path, "device", "build") == 0
     cfg = json.loads((tmp_path / "device.json").read_text())
     assert cfg["variation"]["first_row_weight"] == pytest.approx(3.1526)
+    assert {"tool_version", "config_hash", "master_seed"} <= cfg.keys()
+    # --config reads the stamped file back to the same configuration
+    assert DeviceConfig.from_json(tmp_path / "device.json") == \
+        DeviceConfig(variation=calibrated_variation())
 
 
 def test_model_storage_artifact_stamped(tmp_path):
@@ -52,7 +57,7 @@ def test_generate_and_test_roundtrip(tmp_path):
     device = build_device(variation=calibrated_variation())
     emap = characterize(device, "0111", range(256), trials=1000)
     plan = build_sib_plan([emap], bins=[(30.0, 90.0)])
-    plan.to_json(tmp_path / "plan.json")
+    (tmp_path / "plan.json").write_text(json.dumps(plan.to_dict()))
     assert run(tmp_path, "generate", "--bits", "100000",
                "--plan", str(tmp_path / "plan.json"), "--ascii") == 0
     assert (tmp_path / "bits.bin").stat().st_size == 12500
@@ -83,11 +88,21 @@ def test_generate_refuses_plan_range_outside_row(tmp_path, bad):
     assert not (tmp_path / "bits.bin").exists()
 
 
+@pytest.mark.parametrize("pattern", ["011", "0121"])
+def test_generate_refuses_plan_pattern(tmp_path, pattern):
+    plan = {"pattern": pattern, "bins": [[30.0, 90.0]],
+            "entries": [{"segment": [0, 0, 100], "ranges": [[0, 512, 300.0]]}]}
+    (tmp_path / "bad.json").write_text(json.dumps(plan))
+    assert run(tmp_path, "generate", "--plan", str(tmp_path / "bad.json"),
+               "--bits", "4096") == 1
+    assert not (tmp_path / "bits.bin").exists()
+
+
 def test_generate_reproducible(tmp_path):
     device = build_device(variation=calibrated_variation())
     emap = characterize(device, "0111", range(64), trials=1000)
     plan = build_sib_plan([emap], bins=[(30.0, 90.0)])
-    plan.to_json(tmp_path / "plan.json")
+    (tmp_path / "plan.json").write_text(json.dumps(plan.to_dict()))
     for name in ("a.bin", "b.bin"):
         assert run(tmp_path, "generate", "--bits", "50000",
                    "--plan", str(tmp_path / "plan.json"),

@@ -2,6 +2,8 @@
 input-block planning.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,7 +260,7 @@ def test_plan_json_roundtrip(tmp_path, device):
     emap = characterize(device, "0111", range(16), trials=500)
     plan = build_sib_plan([emap], bins=[(30.0, 90.0)])
     path = tmp_path / "plan.json"
-    plan.to_json(path)
+    path.write_text(json.dumps(plan.to_dict()))
     loaded = type(plan).from_json(path)
     assert loaded.to_dict() == plan.to_dict()
 

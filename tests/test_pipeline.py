@@ -1,12 +1,15 @@
 """Pipeline tests: debiasing, hashing, bit packing, generation, buffering."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quactrng import build_device, calibrated_variation
-from quactrng.config import ConfigError
+from quactrng.config import ConfigError, SegmentAddress
+from quactrng.engine import run_quac
 from quactrng.entropy import build_sib_plan, characterize
 from quactrng.pipeline import (ReservedLayout, RngBuffer, generate_iteration,
                                pack_bits, sha256_digest, stream_bits,
@@ -100,12 +103,6 @@ def device():
     return build_device(variation=calibrated_variation())
 
 
-@pytest.fixture(scope="module")
-def plan(device):
-    emap = characterize(device, "0111", range(1024), trials=1000)
-    return build_sib_plan([emap], bins=[(30.0, 90.0)])
-
-
 def test_layout_requires_four_bank_groups():
     with pytest.raises(ConfigError, match="4 distinct bank groups"):
         ReservedLayout(banks=((0, 0), (0, 1), (1, 0), (2, 0)))
@@ -143,13 +140,42 @@ def test_generate_iteration_deterministic(device, plan):
         np.testing.assert_array_equal(wa, wb)
 
 
+@pytest.mark.parametrize("pattern", ["0111", "1000"])
+def test_generate_iteration_initializes_plan_pattern(device, plan, pattern):
+    """Copy initialization writes the plan's pattern: each word hashes a
+    plan range of a QUAC on a segment written with that pattern."""
+    if pattern != plan.pattern:
+        emap = characterize(device, pattern, range(0, 1024, 64))
+        plan = build_sib_plan([emap], bins=[(30.0, 90.0)])
+    assert plan.pattern == pattern
+    entry = plan.entries[0]
+    for i in (0, 1):
+        expected = []
+        for bg, bank in ReservedLayout().banks:
+            address = SegmentAddress(bg, bank, entry["segment"].segment_index)
+            bits = run_quac(device.fork(), address, pattern=plan.pattern,
+                            experiment_seed=i)
+            expected += [sha256_digest(bits[start:end])
+                         for start, end, _ in entry["ranges"]]
+        words = generate_iteration(device.fork(), ReservedLayout(), plan,
+                                   50.0, i)
+        np.testing.assert_array_equal(words, expected)
+
+
+@pytest.mark.parametrize("bad", ["011", "01101", "0121", ""])
+def test_generate_refuses_bad_pattern(device, plan, bad):
+    edited = copy.deepcopy(plan)
+    edited.pattern = bad
+    with pytest.raises(ConfigError, match="symbols"):
+        generate_iteration(device.fork(), ReservedLayout(), edited, 50.0, 0)
+
+
 def test_generate_iteration_outside_bins(device, plan):
     with pytest.raises(ValueError, match="uncharacterized temperature"):
         generate_iteration(device, ReservedLayout(), plan, 120.0, 0)
 
 
 def test_generate_refuses_empty_plan(device, plan):
-    import copy
     crippled = copy.deepcopy(plan)
     crippled.entries[0]["ranges"] = []
     with pytest.raises(ValueError, match="insufficient entropy"):
@@ -159,7 +185,6 @@ def test_generate_refuses_empty_plan(device, plan):
 @pytest.mark.parametrize("bad", [(0, 65537), (512, 512), (900, 400),
                                  (-256, 256)])
 def test_generate_refuses_range_outside_row(device, plan, bad):
-    import copy
     edited = copy.deepcopy(plan)
     edited.entries[0]["ranges"][1] = (*bad, 300.0)
     with pytest.raises(ConfigError, match=rf"range \[{bad[0]}, {bad[1]}\)"):
