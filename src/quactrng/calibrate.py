@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import binom
 
@@ -69,17 +70,13 @@ def _max_segment_entropy(bias0, amplitude):
         expected_bitline_entropy(bias0 * (1.0 - amplitude)))
 
 
-def _bisect(func, lo, hi, iters=26):
-    flo, fhi = func(lo), func(hi)
-    if flo * fhi > 0:
-        raise ValueError("calibration target outside the searchable range")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if flo * func(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _root(func, lo, hi):
+    """Root of ``func`` between ``lo`` and ``hi`` by Brent's method."""
+    try:
+        return brentq(func, lo, hi)
+    except ValueError:   # func(lo) and func(hi) have the same sign
+        raise ValueError(
+            "calibration target outside the searchable range") from None
 
 
 def fit_variation(master_seed=0x5EED, target_block=DEFAULT_TARGET_BLOCK,
@@ -93,16 +90,16 @@ def fit_variation(master_seed=0x5EED, target_block=DEFAULT_TARGET_BLOCK,
     The first-row weight sets the mean deviation bias (entropy falls as
     the weight rises above three times the later-row weight); the wave
     amplitude sets how far the best (trough) segment rises above the
-    average. The two are solved by alternating bisections.
+    average. The two are solved by alternating root searches.
     """
     base = calibrated_variation(master_seed)
     amplitude = 0.05
     bias0 = 3.8
     for _ in range(3):
-        bias0 = _bisect(
+        bias0 = _root(
             lambda b: _mean_block_entropy(b, amplitude) - target_block,
             1.0, 8.0)
-        amplitude = _bisect(
+        amplitude = _root(
             lambda a: _max_segment_entropy(bias0, a) - target_max_segment,
             0.0, 0.3)
     # deviation bias = 0.5 * (w_first - 3 * w_later) / noise_sigma

@@ -16,7 +16,8 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, DataPattern, DeviceConfig,
                      calibrated_variation)
-from .calibrate import fit_variation
+from .calibrate import (DEFAULT_TARGET_BLOCK, DEFAULT_TARGET_MAX_SEGMENT,
+                        fit_variation)
 from .device import build_device
 from .entropy import (SibPlan, build_sib_plan, characterize,
                       default_temperature_bins, spatial_profile)
@@ -25,7 +26,7 @@ from .perf import (BASELINE_MODES, QUAC_MODES, baseline,
                    storage_bits)
 from .pipeline import (ReservedLayout, stream_bits, unpack_bits, write_ascii,
                        write_binary)
-from .sts import population_pass, reports_to_csv, run_tests
+from .sts import DEFAULT_ALPHA, population_pass, reports_to_csv, run_tests
 
 __all__ = ["main"]
 
@@ -278,8 +279,9 @@ def _build_parser():
 
     p = sub.add_parser("calibrate",
                        help="fit the variation profile to entropy targets")
-    p.add_argument("--target-block", type=float, default=11.07)
-    p.add_argument("--target-max-segment", type=float, default=1920.0)
+    p.add_argument("--target-block", type=float, default=DEFAULT_TARGET_BLOCK)
+    p.add_argument("--target-max-segment", type=float,
+                   default=DEFAULT_TARGET_MAX_SEGMENT)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("characterize", help="entropy characterization")
@@ -320,7 +322,7 @@ def _build_parser():
     p.add_argument("--sequences", type=int, default=1,
                    help="split the input into k sequences and apply the "
                         "population criterion")
-    p.add_argument("--alpha", type=float, default=0.001)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--alpha-pop", type=float, default=0.005)
     p.set_defaults(func=_cmd_test)
 

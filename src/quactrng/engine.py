@@ -79,24 +79,24 @@ def _sense(device, bank_group, bank, active_rows, first_row, temperature, rng):
     return bits
 
 
-def run_quac(device, segment, pattern=None, t1=DEFAULT_T1, t2=DEFAULT_T2,
-             experiment_seed=0, temperature=50.0, first_row=0):
+def run_quac(device, segment, pattern=None, experiment_seed=0,
+             temperature=50.0):
     """Perform one quadruple activation on a segment and return the sensed
     row-buffer bits (one per bitline).
 
     When ``pattern`` is given the four rows are written with its fills
     first; with ``pattern=None`` the current cell contents are used (e.g.
-    after copy-based initialization). ``first_row`` selects which inverted
-    LSB pair carries the sequence: 0 means ACT(row0)->ACT(row3), 1 means
-    ACT(row1)->ACT(row2); both are equivalent by symmetry. A bank left open
-    follows the trace rules: another segment's open row raises DecoderError.
+    after copy-based initialization). The sequence is ACT(row0), PRE after
+    ``DEFAULT_T1``, ACT(row3) after ``DEFAULT_T2``; a device whose tRAS or
+    tRP does not exceed them raises TimingViolation. Other ACT orders, such
+    as ACT(row1)->ACT(row2), run through :func:`execute_trace`. A bank left
+    open follows the trace rules: another segment's open row raises
+    DecoderError.
     """
-    t = device.timings
+    t, t1, t2 = device.timings, DEFAULT_T1, DEFAULT_T2
     if t1 >= t.tRAS or t2 >= t.tRP:
         raise TimingViolation(
             "no QUAC under legal timings: need t1 < tRAS and t2 < tRP")
-    if first_row not in (0, 1):
-        raise ValueError("first_row must be 0 or 1")
     device.validate_address(segment)
     bg, bank = segment.bank_group, segment.bank
     if pattern is not None:
@@ -105,11 +105,9 @@ def run_quac(device, segment, pattern=None, t1=DEFAULT_T1, t2=DEFAULT_T2,
         for row, fill in zip(segment.rows, pattern.fills):
             device.write_row(bg, bank, row, fill)
 
-    first = segment.base_row + first_row
-    second = segment.base_row + (3 - first_row)
-    quac = [Command(0.0, "ACT", bg, bank, (first,)),
+    quac = [Command(0.0, "ACT", bg, bank, (segment.base_row,)),
             Command(t1, "PRE", bg, bank),
-            Command(t1 + t2, "ACT", bg, bank, (second,)),
+            Command(t1 + t2, "ACT", bg, bank, (segment.base_row + 3,)),
             # closes the segment under legal timing, which senses it
             Command(t1 + t2 + t.tRAS, "PRE", bg, bank)]
     (_, _, bits), = execute_trace(device, quac, experiment_seed,
@@ -135,8 +133,9 @@ def copy_row(device, bank_group, bank, src_row, dst_row, reserved_rows=()):
 
 
 def _check_address(geometry, cmd):
-    """Raise ConfigError unless the command's bank, and the rows an ACT,
-    WRITE_ROW or COPY_ROW names, lie inside the geometry."""
+    """Raise ConfigError unless the command's bank, the rows an ACT,
+    WRITE_ROW or COPY_ROW names, and a READ_BLOCK's block lie inside the
+    geometry."""
     g = geometry
     if not (0 <= cmd.bank_group < g.bank_groups
             and 0 <= cmd.bank < g.banks_per_group):
@@ -151,17 +150,21 @@ def _check_address(geometry, cmd):
             raise ConfigError(
                 f"{cmd.kind} at {cmd.issue_time} ns: row {row} outside the "
                 f"bank's {g.rows_per_bank} rows")
+    if cmd.kind == "READ_BLOCK" and not 0 <= cmd.args[0] < g.blocks_per_row:
+        raise ConfigError(
+            f"{cmd.kind} at {cmd.issue_time} ns: block {cmd.args[0]} outside "
+            f"the row's {g.blocks_per_row} blocks")
 
 
 def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
     """Run an ordered command trace; returns a :class:`TraceResult`.
 
-    A bank, ACT or WRITE_ROW row, or COPY_ROW source or destination outside
-    the geometry raises ConfigError. Reads are only legal while a row is
-    open and tRCD has elapsed since the last ACT. Bus accounting: every
-    command occupies one command slot; READ_BLOCK and the blocks of
-    WRITE_ROW additionally occupy one data burst each; COPY_ROW occupies an
-    ACT-PRE-ACT slot triple.
+    A bank, ACT or WRITE_ROW row, COPY_ROW source or destination, or
+    READ_BLOCK block outside the geometry raises ConfigError. Reads are only
+    legal while a row is open and tRCD has elapsed since the last ACT. Bus
+    accounting: every command occupies one command slot; READ_BLOCK and the
+    blocks of WRITE_ROW additionally occupy one data burst each; COPY_ROW
+    occupies an ACT-PRE-ACT slot triple.
     """
     t = device.timings
     result = TraceResult()
@@ -222,10 +225,6 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
             if cmd.issue_time - state.wordline_enable_time < t.tRCD:
                 raise TimingViolation("READ_BLOCK before tRCD elapsed")
             block = cmd.args[0]
-            if not 0 <= block < device.geometry.blocks_per_row:
-                raise ValueError(
-                    f"READ_BLOCK block {block} outside the row's "
-                    f"{device.geometry.blocks_per_row} blocks")
             cb = device.geometry.cache_block_bits
             bits = sense(key, cmd.issue_time)[block * cb:(block + 1) * cb]
             result.payloads.append(bits.copy())

@@ -28,6 +28,9 @@ __all__ = [
     "default_temperature_bins",
 ]
 
+# Entropy bits per hash input range; a float, as plans serialize it.
+MIN_BLOCK_ENTROPY = 256.0
+
 
 def binary_entropy(p):
     """H(p) = -p*log2(p) - (1-p)*log2(1-p) in bits, elementwise, with
@@ -244,7 +247,7 @@ class SibPlan:
     bins: list          # (low_c, high_c) tuples
     entries: list       # per bin: dict(segment=SegmentAddress, ranges=[(s,e,h)])
     pattern: str = "0111"
-    min_block_entropy: float = 256.0
+    min_block_entropy: float = MIN_BLOCK_ENTROPY
 
     def bin_for(self, temperature):
         for i, (lo, hi) in enumerate(self.bins):
@@ -283,7 +286,8 @@ class SibPlan:
         ]
         return SibPlan(bins=[tuple(b) for b in data["bins"]], entries=entries,
                        pattern=data.get("pattern", "0111"),
-                       min_block_entropy=data.get("min_block_entropy", 256.0))
+                       min_block_entropy=data.get("min_block_entropy",
+                                                  MIN_BLOCK_ENTROPY))
 
     @staticmethod
     def from_json(path):
@@ -307,7 +311,7 @@ def _cut_ranges(bitline, min_entropy):
     return ranges
 
 
-def build_sib_plan(maps, bins=None, min_block_entropy=256.0):
+def build_sib_plan(maps, bins=None):
     """Build a :class:`SibPlan` from one entropy map per temperature bin.
 
     For each bin the highest-entropy segment is selected and its bitline
@@ -325,11 +329,10 @@ def build_sib_plan(maps, bins=None, min_block_entropy=256.0):
         segment_entropy = emap.segment_entropy
         idx = int(np.argmax(segment_entropy))
         total = float(segment_entropy[idx])
-        if total < min_block_entropy:
+        if total < MIN_BLOCK_ENTROPY:
             raise ValueError(
                 f"insufficient entropy: best segment carries {total:.1f} bits "
-                f"(< {min_block_entropy})")
-        ranges = _cut_ranges(emap.bitline[idx], min_block_entropy)
+                f"(< {MIN_BLOCK_ENTROPY})")
+        ranges = _cut_ranges(emap.bitline[idx], MIN_BLOCK_ENTROPY)
         entries.append({"segment": emap.segments[idx], "ranges": ranges})
-    return SibPlan(bins=list(bins), entries=entries, pattern=pattern,
-                   min_block_entropy=min_block_entropy)
+    return SibPlan(bins=list(bins), entries=entries, pattern=pattern)

@@ -14,7 +14,6 @@ from .engine import DEFAULT_T1, DEFAULT_T2
 from .pipeline import WORD_BITS
 
 __all__ = [
-    "HashParams",
     "ScheduleReport",
     "QUAC_MODES",
     "BASELINE_MODES",
@@ -35,21 +34,10 @@ TWR = 15.0            # write recovery
 TRCD_REDUCED = 2.5    # reduced activation-to-read delay (failure-mode reads)
 COLUMN_FLOOR = 0.9    # minimum column access spacing (array-limited)
 CHANNELS = 4
+HASH_LATENCY_NS = 65 / 5.15   # hashing engine: 65 cycles at 5.15 GHz
+HASH_GBPS = 19.7              # hashing engine throughput ceiling
 
 READ_BLOCKS = DramGeometry().blocks_per_row   # cache blocks read out per row
-
-
-@dataclass(frozen=True)
-class HashParams:
-    """Latency/throughput of the hashing engine."""
-
-    cycles: int = 65
-    clock_ghz: float = 5.15
-    throughput_gbps: float = 19.7
-
-    @property
-    def latency_ns(self):
-        return self.cycles / self.clock_ghz
 
 
 @dataclass(frozen=True)
@@ -72,11 +60,6 @@ def _col_time(t):
     return max(t.burst_time, COLUMN_FLOOR)
 
 
-def _tccd(t):
-    """Same-bank column spacing: fixed tCCD_L, floored by the bus burst."""
-    return max(TCCD_L, t.burst_time)
-
-
 def _copy_time(t):
     """One in-DRAM row copy: the violating ACT-PRE-ACT plus full restore."""
     return DEFAULT_T1 + DEFAULT_T2 + t.tRAS + t.tRP
@@ -88,21 +71,21 @@ def _quac_core(t, banks):
     return DEFAULT_T1 + DEFAULT_T2 + spread + t.tRCD
 
 
-def schedule(mode, timings=None, sib=7, hash_params=None):
+def schedule(mode, timings=None, sib=7):
     """Iteration latency/throughput for a quadruple-activation mode.
 
     one-bank: everything serialized in a single bank; writes and reads
     paced at the same-bank column spacing. bgp: four banks in four bank
     groups; initialization writes and readout share the data bus. rc-bgp:
-    initialization replaced by four in-DRAM copies per bank.
+    initialization replaced by four in-DRAM copies per bank. An iteration
+    faster than the ``HASH_GBPS`` hash engine is stretched to its rate.
     """
     t = timings or TimingParams()
-    hp = hash_params or HashParams()
     if sib < 1:
         raise ValueError("sib must be >= 1")
     if mode not in QUAC_MODES:
         raise ValueError(f"unknown schedule mode {mode!r}")
-    tccd = _tccd(t)
+    tccd = max(TCCD_L, t.burst_time)   # same-bank spacing, burst-floored
     col = _col_time(t)
 
     if mode == "one-bank":
@@ -130,16 +113,16 @@ def schedule(mode, timings=None, sib=7, hash_params=None):
     # cover one hash input, then the pipelined hash latency
     blocks_per_word = -(-READ_BLOCKS // sib)   # ceil
     latency = init_first + (DEFAULT_T1 + DEFAULT_T2 + t.tRCD) \
-        + blocks_per_word * col + t.CL + hp.latency_ns
+        + blocks_per_word * col + t.CL + HASH_LATENCY_NS
 
     bits = WORD_BITS * sib * banks
-    hash_bottleneck = bits / iteration > hp.throughput_gbps
+    hash_bottleneck = bits / iteration > HASH_GBPS
     if hash_bottleneck:
-        iteration = bits / hp.throughput_gbps
+        iteration = bits / HASH_GBPS
     return ScheduleReport(mode, iteration, bits, latency, hash_bottleneck)
 
 
-def baseline(mode, timings=None, hash_params=None):
+def baseline(mode, timings=None):
     """Iteration latency/throughput for a baseline DRAM TRNG, computed
     with the same slot-accurate accounting.
 
@@ -151,7 +134,6 @@ def baseline(mode, timings=None, hash_params=None):
     1023.64 bits across four banks, bus-bound readout, hashed.
     """
     t = timings or TimingParams()
-    hp = hash_params or HashParams()
     if mode not in BASELINE_MODES:
         raise ValueError(f"unknown baseline mode {mode!r}")
     col = _col_time(t)
@@ -171,7 +153,7 @@ def baseline(mode, timings=None, hash_params=None):
         iteration = 6 * cycle
         bits = 1024
         latency = 5 * max(t.tRRD_S, burst) + TRCD_REDUCED + burst \
-            + hp.latency_ns
+            + HASH_LATENCY_NS
     elif mode == "talukder-basic":
         # 3 rows of 16 blocks each: write, fail-activate, read back
         per_row = 16 * burst + fail + 16 * burst
@@ -182,18 +164,12 @@ def baseline(mode, timings=None, hash_params=None):
         # 4 banks x 32 blocks, copy-initialized; one copy exposed per cycle
         iteration = 4 * 32 * col + t.CL + _copy_time(t)
         bits = 4 * 3 * WORD_BITS
-        latency = _copy_time(t) + fail + 32 * burst + t.CL + hp.latency_ns
+        latency = _copy_time(t) + fail + 32 * burst + t.CL + HASH_LATENCY_NS
 
     return ScheduleReport(mode, iteration, bits, latency)
 
 
-def _throughput(mode, timings, sib, hash_params):
-    if mode in QUAC_MODES:
-        return schedule(mode, timings, sib, hash_params).throughput_gbps
-    return baseline(mode, timings, hash_params).throughput_gbps
-
-
-def project(modes, transfer_rates, timings=None, sib=7, hash_params=None):
+def project(modes, transfer_rates, timings=None, sib=7):
     """Throughput per mode per transfer rate, plus ratios of the full
     ``CHANNELS``-channel quadruple-activation generator over each baseline.
     """
@@ -203,7 +179,8 @@ def project(modes, transfer_rates, timings=None, sib=7, hash_params=None):
     table = {}
     for rate in transfer_rates:
         scaled = t.scaled_to(rate)
-        row = {m: _throughput(m, scaled, sib, hash_params) for m in modes}
+        row = {m: (schedule(m, scaled, sib) if m in QUAC_MODES
+                   else baseline(m, scaled)).throughput_gbps for m in modes}
         if "rc-bgp" in modes:
             quac_all = CHANNELS * row["rc-bgp"]
             for m in modes:

@@ -145,22 +145,19 @@ def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
 class RngBuffer:
     """Bounded FIFO of 256-bit words with a low-water refill policy.
 
-    The buffer needs a refill while it holds fewer than ``refill_fraction *
-    capacity_bits`` bits. That mark is positive, so an empty buffer always
-    needs one. While the buffer is at or above the mark, :func:`stream_bits`
-    serves a request by popping words and does no refill work.
+    The buffer needs a refill while it holds fewer than half of
+    ``capacity_bits``, so an empty buffer always needs one. While the buffer
+    is at or above that mark, :func:`stream_bits` serves a request by
+    popping words and does no refill work.
     """
 
     capacity_bits: int = 16384
-    refill_fraction: float = 0.5
     _words: deque = field(default_factory=deque)
     events: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.capacity_bits < WORD_BITS:
             raise ValueError("capacity_bits must hold at least one word")
-        if not 0.0 < self.refill_fraction <= 1.0:
-            raise ValueError("refill_fraction must be in (0, 1]")
 
     @property
     def fill_bits(self):
@@ -168,8 +165,8 @@ class RngBuffer:
 
     @property
     def needs_refill(self):
-        return WORD_BITS * len(self._words) \
-            < self.refill_fraction * self.capacity_bits
+        # fill < capacity / 2, in integers
+        return 2 * WORD_BITS * len(self._words) < self.capacity_bits
 
     def push(self, word):
         if self.fill_bits + WORD_BITS > self.capacity_bits:

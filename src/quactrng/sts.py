@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.001
+# Block and pattern lengths: the NIST SP 800-22 reference tool's defaults.
+BLOCK_FREQUENCY_M = 128
+SERIAL_M = 16
+APEN_M = 10
 
 
 def _as_bits(bits):
@@ -45,15 +49,15 @@ def monobit(bits):
     return float(erfc(s / math.sqrt(n) / math.sqrt(2.0)))
 
 
-def block_frequency(bits, block_size=128):
-    """Frequency-within-block test p-value."""
+def block_frequency(bits):
+    """Frequency-within-block test p-value on ``BLOCK_FREQUENCY_M`` bits."""
     bits = _as_bits(bits)
-    n_blocks = len(bits) // block_size
+    m = BLOCK_FREQUENCY_M
+    n_blocks = len(bits) // m
     if n_blocks < 1:
         raise ValueError("sequence shorter than one block")
-    trimmed = bits[:n_blocks * block_size].reshape(n_blocks, block_size)
-    pi = trimmed.mean(axis=1)
-    chi2 = 4.0 * block_size * float(((pi - 0.5) ** 2).sum())
+    pi = bits[:n_blocks * m].reshape(n_blocks, m).mean(axis=1)
+    chi2 = 4.0 * m * float(((pi - 0.5) ** 2).sum())
     return float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
 
 
@@ -148,9 +152,10 @@ def _psi_sq(bits, m):
     return float((counts.astype(np.float64) ** 2).sum() * (2 ** m) / n - n)
 
 
-def serial(bits, m=16):
-    """Serial test; returns (p_value_1, p_value_2)."""
+def serial(bits):
+    """Serial test at m = ``SERIAL_M``; returns (p_value_1, p_value_2)."""
     bits = _as_bits(bits)
+    m = SERIAL_M
     psi_m = _psi_sq(bits, m)
     psi_m1 = _psi_sq(bits, m - 1)
     psi_m2 = _psi_sq(bits, m - 2)
@@ -161,10 +166,10 @@ def serial(bits, m=16):
     return p1, p2
 
 
-def approximate_entropy(bits, m=10):
-    """Approximate-entropy test p-value."""
+def approximate_entropy(bits):
+    """Approximate-entropy test p-value at m = ``APEN_M``."""
     bits = _as_bits(bits)
-    n = len(bits)
+    n, m = len(bits), APEN_M
 
     def phi(mm):
         counts = _overlap_counts(bits, mm)
@@ -215,7 +220,7 @@ def run_tests(bits, alpha=DEFAULT_ALPHA):
     n = len(bits)
     results = [("monobit", monobit(bits))]
     skipped = []
-    if n >= 128:
+    if n >= BLOCK_FREQUENCY_M:
         results.append(("block-frequency", block_frequency(bits)))
         results.append(("longest-run", longest_run(bits)))
     else:

@@ -62,18 +62,21 @@ def test_run_quac_saturated_pattern(device):
     assert run_quac(device, SEG, pattern="0000").mean() < 0.01
 
 
-def test_run_quac_rejects_legal_timing(device):
-    with pytest.raises(TimingViolation, match="no QUAC under legal timings"):
-        run_quac(device, SEG, pattern="0111", t1=device.timings.tRAS)
-    with pytest.raises(TimingViolation):
-        run_quac(device, SEG, pattern="0111", t2=device.timings.tRP)
+def test_run_quac_rejects_legal_timing():
+    # on these devices a 2.5 ns ACT->PRE or PRE->ACT gap is legal
+    for timings in (TimingParams(tRAS=2.5), TimingParams(tRP=2.5)):
+        device = build_device(timings=timings,
+                              variation=calibrated_variation())
+        with pytest.raises(TimingViolation,
+                           match="no QUAC under legal timings"):
+            run_quac(device, SEG, pattern="0111")
 
 
 def test_run_quac_symmetric_first_row(device):
     # starting from row 1 mirrors the row-0 sequence when the pattern
     # places its lone 0 in row 1 instead of row 0
-    bits = run_quac(device, SEG, pattern="1011", first_row=1)
-    assert 0.0 < bits.mean() < 0.05
+    result = execute_trace(device, quac_trace(device, SEG, "1011", 1))
+    assert 0.0 < result.payload_bits().mean() < 0.05
 
 
 def test_copy_row_copies_and_checks_subarray(device):
@@ -148,7 +151,8 @@ def test_execute_trace_rejects_block_outside_row(device):
     for block in (device.geometry.blocks_per_row, -1):
         cmds = [Command(0.0, "ACT", 0, 0, (40,)),
                 Command(t.tRCD, "READ_BLOCK", 0, 0, (block,))]
-        with pytest.raises(ValueError, match=f"block {block} outside"):
+        with pytest.raises(ConfigError,
+                           match=f"READ_BLOCK at .* block {block} outside"):
             execute_trace(device.fork(), cmds)
 
 
@@ -217,11 +221,12 @@ def test_run_quac_follows_rows_left_open(device):
 
 
 def quac_trace(device, segment, pattern, first_row=0, start=0.0):
-    """One QUAC as a trace: the pattern's row writes, ACT, early PRE, ACT,
-    a READ_BLOCK of every block of the row, and a closing PRE."""
+    """One QUAC as a trace: the pattern's row writes (none for ``None``,
+    which keeps the rows' contents), ACT, early PRE, ACT, a READ_BLOCK of
+    every block of the row, and a closing PRE."""
     bg, bank, base = segment.bank_group, segment.bank, segment.base_row
     cmds = [Command(start + i, "WRITE_ROW", bg, bank, (row, int(fill)))
-            for i, (row, fill) in enumerate(zip(segment.rows, pattern))]
+            for i, (row, fill) in enumerate(zip(segment.rows, pattern or ""))]
     act = start + 10.0
     cmds += [Command(act, "ACT", bg, bank, (base + first_row,)),
              Command(act + 2.5, "PRE", bg, bank),
@@ -230,16 +235,23 @@ def quac_trace(device, segment, pattern, first_row=0, start=0.0):
     blocks = device.geometry.blocks_per_row
     cmds += [Command(read + b, "READ_BLOCK", bg, bank, (b,))
              for b in range(blocks)]
-    cmds.append(Command(read + blocks, "PRE", bg, bank))
+    # tRAS after the last read, so the PRE closes the rows on any geometry
+    cmds.append(Command(read + blocks + device.timings.tRAS, "PRE", bg, bank))
     return cmds
 
 
 @pytest.mark.parametrize("first_row", [0, 1])
 def test_trace_quac_matches_run_quac(device, first_row):
-    result = execute_trace(device, quac_trace(device, SEG, "0111", first_row))
-    np.testing.assert_array_equal(
-        result.payload_bits(),
-        run_quac(device.fork(), SEG, pattern="0111", first_row=first_row))
+    """Reading every block returns the bits the closing PRE senses when no
+    block is read; with row 0 first, those are run_quac's bits."""
+    cmds = quac_trace(device, SEG, "0111", first_row)
+    unread = [c for c in cmds if c.kind != "READ_BLOCK"]
+    (_, _, closed), = execute_trace(device.fork(), unread).sensed
+    if first_row == 0:
+        np.testing.assert_array_equal(
+            closed, run_quac(device.fork(), SEG, pattern="0111"))
+    result = execute_trace(device, cmds)
+    np.testing.assert_array_equal(result.payload_bits(), closed)
     assert device.decoder(0, 0).active_rows() == frozenset()
 
 
@@ -325,10 +337,10 @@ def test_cached_sensing_matches_fresh_device(steps):
             if spec is not None:
                 device.write_row(bank_group, 0, row, _row_value(spec, n))
         fresh = _fresh_copy(device, bank_group, address.rows)
-        kwargs = dict(experiment_seed=seed, temperature=temperature,
-                      first_row=first_row)
-        np.testing.assert_array_equal(run_quac(device, address, **kwargs),
-                                      run_quac(fresh, address, **kwargs))
+        cmds = quac_trace(device, address, None, first_row)
+        np.testing.assert_array_equal(
+            execute_trace(device, cmds, seed, temperature).payload_bits(),
+            execute_trace(fresh, cmds, seed, temperature).payload_bits())
         assert len(device._sense_cache) <= SENSE_CACHE_ENTRIES
 
 
@@ -398,12 +410,15 @@ trace_steps = st.tuples(
 
 
 def outside_geometry(cmd):
-    """Whether the command names a bank or row the SMALL device lacks."""
+    """Whether the command names a bank, row or block the SMALL device
+    lacks."""
     rows = {"ACT": cmd.args[:1], "WRITE_ROW": cmd.args[:1],
             "COPY_ROW": cmd.args}.get(cmd.kind, ())
     return not (0 <= cmd.bank_group < SMALL.bank_groups
                 and 0 <= cmd.bank < SMALL.banks_per_group) \
-        or any(not 0 <= r < SMALL.rows_per_bank for r in rows)
+        or any(not 0 <= r < SMALL.rows_per_bank for r in rows) \
+        or cmd.kind == "READ_BLOCK" \
+        and not 0 <= cmd.args[0] < SMALL.blocks_per_row
 
 
 @given(st.lists(trace_steps, min_size=8, max_size=32))
@@ -422,7 +437,9 @@ def outside_geometry(cmd):
           ("READ_BLOCK", (0, 1), 1.0, 0, 0, 0, 0),
           ("PRE", (-1, 0), 1.0, 0, 0, 0, 0),
           ("COPY_ROW", (1, 0), 1.0, 4, 5, 0, 0),
-          ("ACT", (1, 0), 1.0, 4, 0, 0, 0)])
+          ("ACT", (1, 0), 1.0, 4, 0, 0, 0),
+          ("READ_BLOCK", (1, 0), 13.5, 0, 0, -1, 0),
+          ("READ_BLOCK", (1, 0), 1.0, 0, 0, SMALL.blocks_per_row, 0)])
 @settings(max_examples=100, deadline=None)
 def test_random_traces_keep_invariants(steps):
     """Every trace raises one of TRACE_ERRORS or keeps the invariants. The

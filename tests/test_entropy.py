@@ -149,9 +149,8 @@ def test_estimator_converges_to_analytic():
         assert abs(measured - analytic) <= bound
 
 
-def test_spatial_profile_detects_configured_period(device):
-    emap = characterize(device, "0111", range(1024), trials=1000)
-    prof = spatial_profile(emap)
+def test_spatial_profile_detects_configured_period(wave_map):
+    prof = spatial_profile(wave_map)
     assert prof["detected_period"] is not None
     assert abs(prof["detected_period"] - 512) <= 51     # within 10%
     assert prof["autocorrelation_peak"] >= 0.2

@@ -5,7 +5,7 @@ rate projection, idle scaling, and the storage budget.
 import pytest
 
 from quactrng.config import TimingParams
-from quactrng.perf import (BASELINE_MODES, QUAC_MODES, HashParams, baseline,
+from quactrng.perf import (BASELINE_MODES, HASH_GBPS, QUAC_MODES, baseline,
                            idle_scaled_throughput, project, schedule,
                            storage_bits)
 
@@ -55,10 +55,12 @@ def test_schedule_guards():
 
 
 def test_hash_bottleneck_clamps():
-    weak_hash = HashParams(throughput_gbps=1.0)
-    r = schedule("rc-bgp", sib=7, hash_params=weak_hash)
+    # at 12000 MT/s, 14 blocks per bank outrun the hashing engine
+    fast = TimingParams().scaled_to(12000)
+    assert not schedule("rc-bgp", fast, sib=13).hash_bottleneck
+    r = schedule("rc-bgp", fast, sib=14)
     assert r.hash_bottleneck
-    assert r.throughput_gbps == pytest.approx(1.0)
+    assert r.throughput_gbps == pytest.approx(HASH_GBPS)
 
 
 def test_quac_internal_ratio_independent_of_sib():

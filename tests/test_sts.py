@@ -3,6 +3,7 @@ closed-form sequences, and a reference PRNG.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ def test_monobit_worked_example():
 
 
 def test_block_frequency_worked_example():
-    assert block_frequency(PI_BITS, 10) == pytest.approx(0.706438, abs=1e-6)
+    # two 128-bit blocks holding 80 and 64 ones: chi^2 = 4 * 128 * 0.125^2
+    # = 8 on two degrees of freedom, so p = exp(-8 / 2)
+    bits = np.zeros(256, dtype=np.uint8)
+    bits[:80] = bits[128:192] = 1
+    assert block_frequency(bits) == pytest.approx(math.exp(-4.0), rel=1e-12)
+    with pytest.raises(ValueError, match="shorter than one block"):
+        block_frequency(PI_BITS)
 
 
 def test_runs_worked_example():

@@ -1,5 +1,6 @@
-"""Tooling tests: the benchmark's span tracer can find what it wraps, and
-its buffer subclass still counts spills."""
+"""Tooling tests: the benchmark's span tracer can find what it wraps and
+sees those functions called, and its buffer subclass still counts
+spills."""
 
 import importlib.util
 import sys
@@ -33,6 +34,30 @@ def test_trace_targets_resolve(run):
                for owner, attribute in owners
                if not hasattr(owner, attribute)]
     assert not missing
+
+
+def test_trace_targets_are_called(run):
+    """Each layer the benchmark reports on is called through the name its
+    tracer wraps, so a name kept only as an unused import fails here."""
+    p = run.load_program()
+    tracer = run.Tracer()
+    tracer.install(run.trace_targets(p))
+    try:
+        device = build_device(variation=calibrated_variation())
+        emap = p.entropy.characterize(device, "0111", range(0, 1024, 64))
+        plan = p.entropy.build_sib_plan([emap], bins=[(30.0, 90.0)])
+        p.pipeline.stream_bits(device, ReservedLayout(), plan, 20_000)
+    finally:
+        tracer.uninstall()
+    calls = {name: n for name, (n, _, _) in tracer.totals().items()}
+    expected = [
+        "engine.copy_row", "engine.run_quac", "pipeline.generate_iteration",
+        "pipeline.sha256_digest", "pipeline.stream_bits",
+        "device.sample_sense_amp", "device.decoder_step", "device.write_row",
+        "device.segment_params", "device.success_probability", "rng.stream",
+        "entropy.characterize", "entropy.bitline_entropy",
+        "entropy.build_sib_plan"]
+    assert not [name for name in expected if calls.get(name, 0) < 1]
 
 
 def test_spill_counting_buffer_counts_spills(run):
