@@ -111,6 +111,19 @@ def test_golden_bitline_map(device, method, trials, digest):
     assert sha256_hex(emap.bitline.tobytes()) == digest
 
 
+# 16 x 65536 float32 -0.0: every bitline of these patterns senses the same
+# value on every trial, and H(0) comes out as -0.0.
+SATURATED_MAP = (
+    "a98912497768f8c3bebf5b45c21c6073a81f63d9e34f50e75d278c1e343facc8")
+
+
+@pytest.mark.parametrize("method", ["binomial", "analytic"])
+@pytest.mark.parametrize("pattern", ["1011", "0000"])
+def test_golden_saturated_map(device, pattern, method):
+    emap = characterize(device, pattern, range(0, 512, 32), method=method)
+    assert sha256_hex(emap.bitline.tobytes()) == SATURATED_MAP
+
+
 def test_golden_trace_payload(device):
     t = device.timings
     cmds = [
