@@ -97,7 +97,8 @@ def _cmd_characterize(args):
     segments = range(args.segments)
     outdir = _output_dir(args)
     rows = []
-    last_map = None
+    # the map of the pattern that ranks first (the earliest one on a tie)
+    top_entropy, top_map = -1.0, None
     for pattern in patterns:
         emap = characterize(device, pattern, segments, trials=args.trials,
                             temperature=args.temperature, method=args.method,
@@ -105,7 +106,8 @@ def _cmd_characterize(args):
         rows.append((str(pattern), float(emap.block_entropy.mean()),
                      float(emap.segment_entropy.mean()),
                      float(emap.segment_entropy.max())))
-        last_map = emap
+        if rows[-1][1] > top_entropy:
+            top_entropy, top_map = rows[-1][1], emap
     csv_path = outdir / "characterize.csv"
     with open(csv_path, "w") as fh:
         fh.write("pattern,avg_block_entropy,avg_segment_entropy,"
@@ -113,11 +115,11 @@ def _cmd_characterize(args):
         for r in sorted(rows, key=lambda r: -r[1]):
             fh.write(f"{r[0]},{r[1]:.4f},{r[2]:.4f},{r[3]:.4f}\n")
     print(csv_path)
-    if args.spatial and last_map is not None:
-        prof = spatial_profile(last_map)
-        last_map.segment_series_to_csv(outdir / "segment_series.csv")
+    if args.spatial:
+        prof = spatial_profile(top_map)
+        top_map.segment_series_to_csv(outdir / "segment_series.csv")
         _write_json(outdir / "spatial_profile.json", _stamp(config, {
-            "pattern": str(patterns[-1]),
+            "pattern": top_map.context["pattern"],
             "detected_period": prof["detected_period"],
             "autocorrelation_peak": prof["autocorrelation_peak"],
             "block_curve": prof["block_curve"].tolist(),
@@ -294,7 +296,7 @@ def _build_parser():
                    choices=["binomial", "exact", "analytic"])
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--spatial", action="store_true",
-                   help="emit the spatial profile of the last pattern")
+                   help="emit the spatial profile of the top-ranked pattern")
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("plan", help="build the extraction plan")

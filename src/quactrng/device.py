@@ -42,6 +42,9 @@ REFERENCE_TEMP_C = 50.0
 # threshold row: 512 KiB at 64K bitlines, so 4 MiB when full. Eight cover
 # the pipeline's four banks in two temperature bins.
 SENSE_CACHE_ENTRIES = 8
+# scipy's ndtr is exactly 0.0 at or below -38 and exactly 1.0 at or above
+# +38: erfc underflows once x**2 / 2 passes log(DBL_MAX), at |x| = 37.68.
+PROBIT_SATURATION = 38.0
 
 
 class DecoderError(RuntimeError):
@@ -172,6 +175,17 @@ def sample_sense_amp(threshold, raw):
     return (np.right_shift(words, 11, out=words) < threshold).astype(np.uint8)
 
 
+def _probit_argument(deviation, thermal_noise_sigma, temperature_adjust):
+    """Adjusted deviation / sigma, the argument of Phi, as a new float64
+    array; the caller's ``deviation`` is never written.
+    """
+    if thermal_noise_sigma <= 0:
+        raise ValueError("thermal_noise_sigma must be > 0")
+    x = np.array(deviation, dtype=np.float64)
+    np.multiply(x, temperature_adjust, out=x)
+    return np.divide(x, thermal_noise_sigma, out=x)
+
+
 def success_probability(deviation, thermal_noise_sigma, temperature_adjust=1.0):
     """P(1) = Phi(adjusted deviation / sigma); sensing compares raw words
     against its :func:`raw_threshold`.
@@ -179,12 +193,32 @@ def success_probability(deviation, thermal_noise_sigma, temperature_adjust=1.0):
     Works in place on its own float64 copy of ``deviation``, so the
     caller's array is never written; a scalar in gives a scalar out.
     """
-    if thermal_noise_sigma <= 0:
-        raise ValueError("thermal_noise_sigma must be > 0")
-    p = np.array(deviation, dtype=np.float64)
-    np.multiply(p, temperature_adjust, out=p)
-    np.divide(p, thermal_noise_sigma, out=p)
+    p = _probit_argument(deviation, thermal_noise_sigma, temperature_adjust)
     return ndtr(p, out=p)[()]
+
+
+def _saturated_probability(deviation_range, thermal_noise_sigma,
+                           temperature_adjust):
+    """The P(1) that every bitline shares, 0.0 or 1.0, when the whole
+    ``(lowest, highest)`` deviation range clears the sensing margin; None
+    when some bitline may resolve randomly. The two ends are the
+    deviations of the lowest and highest sense-amp offsets, computed as
+    those of the bitlines are.
+
+    Rounding is monotone, so with ``temperature_adjust > 0`` the probit
+    arguments of the two ends bound those of every bitline in between, and
+    ``ndtr`` is exactly 0.0 at or below ``-PROBIT_SATURATION`` and exactly
+    1.0 at or above it. A ``temperature_adjust <= 0`` gives None.
+    """
+    if temperature_adjust <= 0:
+        return None
+    low, high = _probit_argument(deviation_range, thermal_noise_sigma,
+                                 temperature_adjust)
+    if high <= -PROBIT_SATURATION:
+        return 0.0
+    if low >= PROBIT_SATURATION:
+        return 1.0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +231,7 @@ class SegmentParams:
 
     sa_offset: np.ndarray          # per-bitline SA offset, normalized volts
     weight_multiplier: float       # per-segment charge-sharing multiplier
+    offset_range: np.ndarray       # (lowest, highest) of sa_offset
 
 
 class DeviceState:
@@ -244,7 +279,9 @@ class DeviceState:
         mult = 1.0 + v.segment_weight_jitter_sigma * rng.standard_normal() \
             + v.spatial_wave_amplitude * np.sin(
                 2.0 * np.pi * address.segment_index / v.spatial_wave_period)
-        params = SegmentParams(sa_offset=offsets, weight_multiplier=mult)
+        params = SegmentParams(sa_offset=offsets, weight_multiplier=mult,
+                               offset_range=np.array([offsets.min(),
+                                                      offsets.max()]))
         if len(self._param_cache) > 64:
             self._param_cache.clear()
         self._param_cache[key] = params

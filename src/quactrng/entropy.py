@@ -13,7 +13,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .config import DataPattern, SegmentAddress
-from .device import success_probability
+from .device import (_saturated_probability, charge_share_deviation,
+                     success_probability)
 from .engine import run_quac
 from .rng import TAG_EXPERIMENT, stream
 
@@ -113,10 +114,25 @@ def _as_addresses(segments):
 
 
 def _pattern_probabilities(device, address, pattern, temperature):
-    """Analytic per-bitline P(1) for a fixed fill pattern on one segment."""
-    return success_probability(device.deviation(address, pattern.fills),
-                               device.variation.thermal_noise_sigma,
-                               device.temperature_adjust(temperature))
+    """Analytic per-bitline P(1) for a fixed fill pattern on one segment,
+    or the scalar 0.0 or 1.0 when the pattern clears the sensing margin on
+    every bitline, so that each one has exactly that P(1).
+    """
+    params = device.segment_params(address)
+    v = device.variation
+    adjust = device.temperature_adjust(temperature)
+
+    def deviation(sa_offset):
+        return charge_share_deviation(
+            pattern.fills, v.first_row_weight, v.later_row_weight,
+            params.weight_multiplier, sa_offset)
+
+    p = _saturated_probability(deviation(params.offset_range),
+                               v.thermal_noise_sigma, adjust)
+    if p is None:
+        p = success_probability(deviation(params.sa_offset),
+                                v.thermal_noise_sigma, adjust)
+    return p
 
 
 def characterize(device, pattern, segments, trials=1000, temperature=50.0,
@@ -135,6 +151,13 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
       seed ``t + 1``.
     - ``"analytic"``: no sampling; entropy is the exact H(p) per bitline
       (the infinite-trial limit).
+
+    Under ``"binomial"`` and ``"analytic"``, a segment whose lowest and
+    highest sense-amp offsets both put the pattern past the sensing margin
+    (P(1) exactly 0 or exactly 1 on every bitline) gets its row of H = 0
+    directly, with the bytes the full path gives and without its P(1),
+    draws or entropy arrays; most fill patterns do so on a calibrated
+    device.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
@@ -146,25 +169,30 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
     if method not in ("binomial", "exact", "analytic"):
         raise ValueError(f"unknown method {method!r}")
 
+    n = device.geometry.bitlines_per_row
+
     def one_segment(address):
         device.validate_address(address)
-        if method == "analytic":
-            p = _pattern_probabilities(device, address, pattern, temperature)
-            return binary_entropy(p).astype(np.float32)
-        if method == "binomial":
-            p = _pattern_probabilities(device, address, pattern, temperature)
-            rng = stream(device.variation.master_seed, TAG_EXPERIMENT, 0,
-                         address.bank_group, address.bank,
-                         address.segment_index)
-            ones = rng.binomial(trials, p)
+        if method == "exact":
+            local = device.fork()
+            ones = np.zeros(n, dtype=np.int64)
+            for t in range(trials):
+                ones += run_quac(local, address, pattern=pattern,
+                                 experiment_seed=t + 1,
+                                 temperature=temperature)
             return bitline_entropy(ones, trials).astype(np.float32)
-        local = device.fork()
-        ones = np.zeros(device.geometry.bitlines_per_row, dtype=np.int64)
-        for t in range(trials):
-            ones += run_quac(local, address, pattern=pattern,
-                             experiment_seed=t + 1,
-                             temperature=temperature)
-        return bitline_entropy(ones, trials).astype(np.float32)
+        p = _pattern_probabilities(device, address, pattern, temperature)
+        if np.ndim(p) == 0:
+            # every trial of every bitline senses the same value
+            h = binary_entropy(p) if method == "analytic" \
+                else bitline_entropy(int(p) * trials, trials)
+            return np.full(n, h, dtype=np.float32)
+        if method == "analytic":
+            return binary_entropy(p).astype(np.float32)
+        rng = stream(device.variation.master_seed, TAG_EXPERIMENT, 0,
+                     address.bank_group, address.bank, address.segment_index)
+        return bitline_entropy(rng.binomial(trials, p),
+                               trials).astype(np.float32)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

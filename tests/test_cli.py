@@ -53,6 +53,20 @@ def test_characterize_ranks_patterns(tmp_path):
     assert lines[1].startswith("0111,")
 
 
+def test_characterize_profiles_top_ranked_pattern(tmp_path):
+    assert run(tmp_path, "characterize", "--patterns", "all", "--spatial",
+               "--segments", "64") == 0
+    lines = (tmp_path / "characterize.csv").read_text().splitlines()
+    top = lines[1].split(",")[0]
+    profile = json.loads((tmp_path / "spatial_profile.json").read_text())
+    assert profile["pattern"] == top
+    device = build_device(variation=calibrated_variation())
+    expected = characterize(device, top, range(64)).segment_entropy
+    series = (tmp_path / "segment_series.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in series] == \
+        [f"{h:.4f}" for h in expected]
+
+
 def test_generate_and_test_roundtrip(tmp_path):
     device = build_device(variation=calibrated_variation())
     emap = characterize(device, "0111", range(256), trials=1000)

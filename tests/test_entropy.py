@@ -6,10 +6,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from quactrng import build_device, calibrated_variation
-from quactrng.config import SegmentAddress, VariationProfile
+from scipy.special import ndtr
+
+from quactrng import build_device, calibrated_variation, entropy
+from quactrng.config import DataPattern, DramGeometry, SegmentAddress, \
+    VariationProfile
+from quactrng.device import PROBIT_SATURATION, DeviceState
 from quactrng.entropy import (EntropyMap, binary_entropy, bitline_entropy,
                               build_sib_plan, characterize,
                               default_temperature_bins, spatial_profile)
@@ -127,9 +131,111 @@ def test_characterize_analytic_zero_variance_device():
 
 
 def test_characterize_workers_deterministic(device):
-    serial = characterize(device, "0111", range(8), trials=500)
-    threaded = characterize(device, "0111", range(8), trials=500, workers=4)
-    np.testing.assert_array_equal(serial.bitline, threaded.bitline)
+    for pattern in ("0111", "1011"):    # random, then saturated
+        serial = characterize(device, pattern, range(8), trials=500)
+        threaded = characterize(device, pattern, range(8), trials=500,
+                                workers=4)
+        assert serial.bitline.tobytes() == threaded.bitline.tobytes()
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call appends its arguments to the
+    returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def without_shortcut(monkeypatch, *args, **kwargs):
+    """``characterize`` with the saturation check forced off."""
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_saturated_probability", lambda *a: None)
+        return characterize(*args, **kwargs)
+
+
+@pytest.mark.parametrize("method", ["binomial", "analytic"])
+@pytest.mark.parametrize("temperature", [30.0, 50.0, 90.0])
+def test_saturation_shortcut_keeps_map_bytes(device, monkeypatch, method,
+                                             temperature):
+    """Every pattern's map is the same with and without the check, and the
+    check takes the shortcut for most patterns."""
+    segments = range(0, 1024, 128)
+    probit_calls = count_calls(monkeypatch, entropy, "success_probability")
+    shortcuts = 0
+    for pattern in DataPattern.all_patterns():
+        before = len(probit_calls)
+        fast = characterize(device, pattern, segments, method=method,
+                            temperature=temperature)
+        shortcuts += len(segments) - (len(probit_calls) - before)
+        slow = without_shortcut(monkeypatch, device, pattern, segments,
+                                method=method, temperature=temperature)
+        assert fast.bitline.tobytes() == slow.bitline.tobytes(), pattern
+    assert shortcuts >= 12 * len(segments)
+
+
+SMALL = DramGeometry(bank_groups=2, banks_per_group=1, subarrays_per_bank=2,
+                     segments_per_bank=8, bitlines_per_row=8192)
+
+
+def test_saturated_exact_map_matches_binomial(monkeypatch):
+    """The explicit activation loop senses a saturated pattern's value on
+    every trial: its map has the bytes of the shortcut's."""
+    device = build_device(SMALL, variation=calibrated_variation())
+    probit_calls = count_calls(monkeypatch, entropy, "success_probability")
+    fast = characterize(device, "1011", range(4), trials=20)
+    assert probit_calls == []
+    slow = characterize(device, "1011", range(4), trials=20, method="exact")
+    assert fast.bitline.tobytes() == slow.bitline.tobytes()
+
+
+@given(st.floats(max_value=-PROBIT_SATURATION),
+       st.floats(min_value=PROBIT_SATURATION))
+@example(-1e300, 1e300)
+@example(-np.inf, np.inf)
+@example(-PROBIT_SATURATION, PROBIT_SATURATION)
+@settings(max_examples=200, deadline=None)
+def test_ndtr_saturates_past_the_margin(low, high):
+    assert ndtr(low) == 0.0
+    assert ndtr(high) == 1.0
+
+
+@pytest.mark.parametrize("method", ["binomial", "analytic"])
+@pytest.mark.parametrize("offset_c", [500.0, 600.0])
+def test_no_shortcut_without_positive_adjust(device, monkeypatch, method,
+                                             offset_c):
+    """A temperature that zeroes or flips the deviation's sign always takes
+    the full probit path."""
+    temperature = 50.0 + device.temperature_trend * offset_c
+    assert device.temperature_adjust(temperature) <= 0.0
+    probit_calls = count_calls(monkeypatch, entropy, "success_probability")
+    emap = characterize(device, "1011", range(4), method=method,
+                        temperature=temperature)
+    assert len(probit_calls) == 4
+    slow = without_shortcut(monkeypatch, device, "1011", range(4),
+                            method=method, temperature=temperature)
+    assert emap.bitline.tobytes() == slow.bitline.tobytes()
+
+
+def test_sweep_keeps_offset_draws_and_probits_only_random_patterns(
+        monkeypatch):
+    """Characterizing every pattern over more segments than the offset
+    cache holds fetches each segment's parameters once per pattern, in
+    order, so the cache ends as before; only the two patterns that do not
+    clear the sensing margin reach the probit."""
+    device = build_device(variation=calibrated_variation())
+    segments = range(80)
+    param_calls = count_calls(monkeypatch, DeviceState, "segment_params")
+    probit_calls = count_calls(monkeypatch, entropy, "success_probability")
+    patterns = DataPattern.all_patterns()
+    for pattern in patterns:
+        characterize(device, pattern, segments)
+    assert [a[1].segment_index for a in param_calls] == \
+        [s for _ in patterns for s in segments]
+    assert len(probit_calls) == 2 * len(segments)
 
 
 def test_estimator_converges_to_analytic():
