@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from scipy.stats import binom
 
 from .config import DramGeometry, calibrated_variation
-from .entropy import binary_entropy
+from .entropy import binary_entropy, bitline_entropy
 
 __all__ = [
     "expected_bitline_entropy",
@@ -50,9 +50,8 @@ def expected_bitline_entropy(bias, trials=1000):
         h = binary_entropy(p)
     else:
         k = np.arange(trials + 1)
-        h_of_k = binary_entropy(k / trials)
         pmf = binom.pmf(k[None, None, :], trials, p[:, :, None])
-        h = pmf @ h_of_k
+        h = pmf @ bitline_entropy(k, trials)
     out = (h * w[None, :]).sum(axis=1) / np.sqrt(np.pi)
     return out if out.shape != (1,) else float(out[0])
 

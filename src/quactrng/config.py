@@ -242,18 +242,27 @@ class DeviceConfig:
 
     @staticmethod
     def from_dict(data):
-        def build(cls, section):
+        if not isinstance(data, dict):
+            raise ConfigError("config: must be a JSON object")
+
+        def build(cls, name):
+            section = data.get(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name}: must be a JSON object")
             known = {f.name for f in fields(cls)}
             unknown = set(section) - known
             if unknown:
                 raise ConfigError(
                     f"{cls.__name__}: unknown fields {sorted(unknown)}")
-            return cls(**section)
+            try:
+                return cls(**section)
+            except TypeError as exc:   # a value of the wrong type
+                raise ConfigError(f"{name}: {exc}") from None
 
         return DeviceConfig(
-            geometry=build(DramGeometry, data.get("geometry", {})),
-            timings=build(TimingParams, data.get("timings", {})),
-            variation=build(VariationProfile, data.get("variation", {})),
+            geometry=build(DramGeometry, "geometry"),
+            timings=build(TimingParams, "timings"),
+            variation=build(VariationProfile, "variation"),
         )
 
     @staticmethod

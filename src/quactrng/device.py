@@ -200,10 +200,8 @@ def success_probability(deviation, thermal_noise_sigma, temperature_adjust=1.0):
 def _saturated_probability(deviation_range, thermal_noise_sigma,
                            temperature_adjust):
     """The P(1) that every bitline shares, 0.0 or 1.0, when the whole
-    ``(lowest, highest)`` deviation range clears the sensing margin; None
-    when some bitline may resolve randomly. The two ends are the
-    deviations of the lowest and highest sense-amp offsets, computed as
-    those of the bitlines are.
+    ``(lowest, highest)`` range of a row's deviations clears the sensing
+    margin; None when some bitline may resolve randomly.
 
     Rounding is monotone, so with ``temperature_adjust > 0`` the probit
     arguments of the two ends bound those of every bitline in between, and
@@ -227,11 +225,11 @@ def _saturated_probability(deviation_range, thermal_noise_sigma,
 
 @dataclass(frozen=True)
 class SegmentParams:
-    """Deterministic per-segment electrical parameters."""
+    """Deterministic per-segment electrical parameters, from which
+    :meth:`DeviceState.deviation` gives every deviation of the segment."""
 
     sa_offset: np.ndarray          # per-bitline SA offset, normalized volts
     weight_multiplier: float       # per-segment charge-sharing multiplier
-    offset_range: np.ndarray       # (lowest, highest) of sa_offset
 
 
 class DeviceState:
@@ -279,9 +277,7 @@ class DeviceState:
         mult = 1.0 + v.segment_weight_jitter_sigma * rng.standard_normal() \
             + v.spatial_wave_amplitude * np.sin(
                 2.0 * np.pi * address.segment_index / v.spatial_wave_period)
-        params = SegmentParams(sa_offset=offsets, weight_multiplier=mult,
-                               offset_range=np.array([offsets.min(),
-                                                      offsets.max()]))
+        params = SegmentParams(sa_offset=offsets, weight_multiplier=mult)
         if len(self._param_cache) > 64:
             self._param_cache.clear()
         self._param_cache[key] = params

@@ -13,8 +13,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .config import DataPattern, SegmentAddress
-from .device import (_saturated_probability, charge_share_deviation,
-                     success_probability)
+from .device import _saturated_probability, success_probability
 from .engine import run_quac
 from .rng import TAG_EXPERIMENT, stream
 
@@ -74,8 +73,8 @@ class EntropyMap:
 
     segments: list                      # SegmentAddress, row order of `bitline`
     bitline: np.ndarray                 # (n_segments, n_bitlines) float32
+    cache_block_bits: int
     context: dict = field(default_factory=dict)
-    cache_block_bits: int = 512
 
     def __post_init__(self):
         if np.any(self.bitline < -1e-6) or np.any(self.bitline > 1.0 + 1e-6):
@@ -115,23 +114,16 @@ def _as_addresses(segments):
 
 def _pattern_probabilities(device, address, pattern, temperature):
     """Analytic per-bitline P(1) for a fixed fill pattern on one segment,
-    or the scalar 0.0 or 1.0 when the pattern clears the sensing margin on
-    every bitline, so that each one has exactly that P(1).
+    or the scalar 0.0 or 1.0 when the pattern's deviation clears the
+    sensing margin on every bitline, so that each one has exactly that P(1).
     """
-    params = device.segment_params(address)
-    v = device.variation
+    sigma = device.variation.thermal_noise_sigma
     adjust = device.temperature_adjust(temperature)
-
-    def deviation(sa_offset):
-        return charge_share_deviation(
-            pattern.fills, v.first_row_weight, v.later_row_weight,
-            params.weight_multiplier, sa_offset)
-
-    p = _saturated_probability(deviation(params.offset_range),
-                               v.thermal_noise_sigma, adjust)
+    deviation = device.deviation(address, pattern.fills)
+    p = _saturated_probability((deviation.min(), deviation.max()), sigma,
+                               adjust)
     if p is None:
-        p = success_probability(deviation(params.sa_offset),
-                                v.thermal_noise_sigma, adjust)
+        p = success_probability(deviation, sigma, adjust)
     return p
 
 
@@ -152,12 +144,12 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
     - ``"analytic"``: no sampling; entropy is the exact H(p) per bitline
       (the infinite-trial limit).
 
-    Under ``"binomial"`` and ``"analytic"``, a segment whose lowest and
-    highest sense-amp offsets both put the pattern past the sensing margin
-    (P(1) exactly 0 or exactly 1 on every bitline) gets its row of H = 0
-    directly, with the bytes the full path gives and without its P(1),
-    draws or entropy arrays; most fill patterns do so on a calibrated
-    device.
+    Under ``"binomial"`` and ``"analytic"``, P(1) comes from the segment's
+    ``device.deviation``, as in sensing. A segment whose lowest and highest
+    deviations both lie past the sensing margin (P(1) exactly 0 or 1 on
+    every bitline) gets its row of H = 0 directly, with the bytes the full
+    path gives but without its P(1), draws or entropy arrays; most fill
+    patterns do so on a calibrated device.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
@@ -339,14 +331,15 @@ def _cut_ranges(bitline, min_entropy):
     return ranges
 
 
-def build_sib_plan(maps, bins=None):
-    """Build a :class:`SibPlan` from one entropy map per temperature bin.
+def build_sib_plan(maps, bins):
+    """Build a :class:`SibPlan` from one entropy map per temperature bin;
+    ``bins`` holds the ``(low_c, high_c)`` of each map, in order.
 
     For each bin the highest-entropy segment is selected and its bitline
     entropies are cut into contiguous column ranges of >= 256 bits each.
     """
-    if bins is None:
-        bins = default_temperature_bins(count=len(maps))
+    if not maps:
+        raise ValueError("need at least one entropy map")
     if len(bins) != len(maps):
         raise ValueError("need exactly one entropy map per temperature bin")
     pattern = maps[0].context.get("pattern", "0111")

@@ -92,22 +92,20 @@ def schedule(mode, timings=None, sib=7):
         banks = 1
         init = 4 * (t.slot_time + t.tRCD + READ_BLOCKS * tccd + TWR + t.tRP)
         read = READ_BLOCKS * tccd + t.CL
-        iteration = init + _quac_core(t, banks) + read
         init_first = init
     elif mode == "bgp":
         banks = 4
         init = 4 * 4 * READ_BLOCKS * t.burst_time \
             + t.slot_time + t.tRCD + TWR + t.tRP
         read = banks * READ_BLOCKS * col + t.CL
-        iteration = init + _quac_core(t, banks) + read
         init_first = 4 * READ_BLOCKS * t.burst_time \
             + t.slot_time + t.tRCD + TWR + t.tRP
     else:  # rc-bgp
         banks = 4
         init = 4 * _copy_time(t) + (banks - 1) * t.tRRD_S
         read = banks * READ_BLOCKS * col + t.CL
-        iteration = init + _quac_core(t, banks) + read
         init_first = 4 * _copy_time(t)
+    iteration = init + _quac_core(t, banks) + read
 
     # first 256-bit word: init one bank, activate, read enough blocks to
     # cover one hash input, then the pipelined hash latency

@@ -87,19 +87,16 @@ class ReservedLayout:
             zeros, ones = base - 2, base - 1
         return zeros, ones
 
-    def reserved_rows(self, geometry, segment_index):
-        base = 4 * segment_index
-        return set(range(base, base + 4)) | set(
-            self.source_rows(geometry, segment_index))
-
     def ensure_sources(self, device, segment_index):
-        """Write the source-row fills if they have not been written yet."""
+        """Write the source-row fills if they have not been written yet;
+        returns the :meth:`source_rows` pair ``(zeros, ones)``."""
         zeros, ones = self.source_rows(device.geometry, segment_index)
         for bg, bank in self.banks:
             if not device.has_row(bg, bank, zeros):
                 device.write_row(bg, bank, zeros, 0)
             if not device.has_row(bg, bank, ones):
                 device.write_row(bg, bank, ones, 1)
+        return zeros, ones
 
 
 def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
@@ -125,8 +122,7 @@ def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
                 f"non-empty column range of the {n}-bitline row")
     fills = DataPattern(plan.pattern).fills
     seg_index = entry["segment"].segment_index
-    layout.ensure_sources(device, seg_index)
-    sources = layout.source_rows(device.geometry, seg_index)
+    sources = layout.ensure_sources(device, seg_index)
 
     words = []
     for bg, bank in layout.banks:

@@ -66,7 +66,9 @@ def runs_test(bits):
     bits = _as_bits(bits)
     n = len(bits)
     pi = float(bits.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    # a constant sequence of 15 bits or fewer passes the frequency
+    # prerequisite (2 / sqrt(n) > 1/2) but has no variance: erfc(+inf) = 0
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi in (0.0, 1.0):
         return 0.0
     v = 1 + int((bits[1:] != bits[:-1]).sum())
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
@@ -134,8 +136,6 @@ def cumulative_sums(bits, forward=True):
 
 def _overlap_counts(bits, m):
     """Counts of all overlapping m-bit words with wraparound."""
-    if m == 0:
-        return np.array([len(bits)], dtype=np.int64)
     n = len(bits)
     ext = np.concatenate([bits, bits[:m - 1]]).astype(np.int64)
     words = np.zeros(n, dtype=np.int64)
@@ -145,8 +145,6 @@ def _overlap_counts(bits, m):
 
 
 def _psi_sq(bits, m):
-    if m <= 0:
-        return 0.0
     counts = _overlap_counts(bits, m)
     n = len(bits)
     return float((counts.astype(np.float64) ** 2).sum() * (2 ** m) / n - n)

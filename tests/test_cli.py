@@ -130,6 +130,29 @@ def test_test_command_fails_bad_stream(tmp_path):
     assert run(tmp_path, "test", "--input", str(tmp_path / "zeros.bin")) == 1
 
 
+def test_test_command_one_zero_byte(tmp_path, capsys):
+    (tmp_path / "zero.bin").write_bytes(bytes(1))
+    assert run(tmp_path, "test", "--input", str(tmp_path / "zero.bin")) == 1
+    results = json.loads((tmp_path / "sts.json").read_text())["results"]
+    assert {r["test"]: r["p_value"] for r in results}["runs"] == 0.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_plan_without_bins_is_an_error(tmp_path, capsys):
+    assert run(tmp_path, "plan", "--bins", "0", "--segments", "4",
+               "--trials", "10") == 1
+    assert not (tmp_path / "plan.json").exists()
+    assert "need at least one entropy map" in capsys.readouterr().err
+
+
+def test_malformed_config_is_an_error(tmp_path, capsys):
+    (tmp_path / "c.json").write_text("[]")
+    assert run(tmp_path, "--config", str(tmp_path / "c.json"),
+               "device", "build") == 1
+    assert not (tmp_path / "device.json").exists()
+    assert capsys.readouterr().err.startswith("error: config")
+
+
 def test_domain_error_exit_code(tmp_path):
     assert run(tmp_path, "test", "--input",
                str(tmp_path / "missing.bin")) == 1

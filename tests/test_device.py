@@ -2,9 +2,11 @@
 charge sharing, and sense-amplifier sampling.
 """
 
+import ast
 import itertools
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import quactrng
 from quactrng.config import (ConfigError, DataPattern, DeviceConfig,
                              DramGeometry, SegmentAddress, TimingParams,
                              VariationProfile, calibrated_variation)
@@ -86,6 +89,18 @@ def test_config_json_roundtrip(tmp_path):
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown fields"):
         DeviceConfig.from_dict({"geometry": {"bank_groupz": 4}})
+
+
+@pytest.mark.parametrize("data, section", [
+    ([], "config"),
+    ({"geometry": 5}, "geometry"),
+    ({"variation": [1]}, "variation"),
+    ({"timings": {"tRAS": "x"}}, "timings"),
+    ({"geometry": {"bank_groups": None}}, "geometry"),
+])
+def test_config_rejects_malformed_sections(data, section):
+    with pytest.raises(ConfigError, match=f"^{section}: "):
+        DeviceConfig.from_dict(data)
 
 
 def test_segment_address_rows():
@@ -164,6 +179,36 @@ def test_charge_share_offset_and_multiplier():
     cells = np.array([[1.0], [1.0], [1.0], [1.0]])
     dev = charge_share_deviation(cells, 3.0, 1.0, 2.0, 0.25)
     assert dev == pytest.approx(2.0 * 3.0 + 0.25)
+
+
+def _callers(tree, callee):
+    """Qualified names of the functions in ``tree`` that call ``callee``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == callee:
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_charge_share_deviation_has_one_caller():
+    """Every deviation, in sensing and in characterization, comes from
+    ``DeviceState.deviation``: the quantity has one implementation."""
+    callers = set()
+    for path in sorted(Path(quactrng.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers |= {f"{path.stem}.{name}"
+                    for name in _callers(tree, "charge_share_deviation")}
+    assert callers == {"device.DeviceState.deviation"}
 
 
 def test_sample_sense_amp_matches_analytic_probability():

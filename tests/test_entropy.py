@@ -305,7 +305,7 @@ def _uniform_map(per_bitline, n_segments=1):
     return EntropyMap(
         segments=[SegmentAddress(0, 0, i) for i in range(n_segments)],
         bitline=np.full((n_segments, 65536), per_bitline, dtype=np.float32),
-        context={"pattern": "0111"})
+        cache_block_bits=512, context={"pattern": "0111"})
 
 
 def test_plan_uniform_half_entropy():

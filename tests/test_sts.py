@@ -71,6 +71,16 @@ def test_all_zeros_fails_monobit():
     assert monobit(bits) < 1e-6
 
 
+@pytest.mark.parametrize("fill", [0, 1])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_runs_constant_short_sequence(n, fill):
+    """A constant sequence of 15 bits or fewer passes the frequency
+    prerequisite; its runs p-value is still 0, as erfc(+inf) gives."""
+    bits = np.full(n, fill, dtype=np.uint8)
+    assert runs_test(bits) == 0.0
+    assert run_tests(bits).p_value("runs") == 0.0
+
+
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         monobit(np.array([], dtype=np.uint8))
