@@ -42,6 +42,13 @@ REFERENCE_TEMP_C = 50.0
 # threshold row: 512 KiB at 64K bitlines, so 4 MiB when full. Eight cover
 # the pipeline's four banks in two temperature bins.
 SENSE_CACHE_ENTRIES = 8
+# A device's cache of drawn sense-amp offsets is cleared once it holds more
+# than this many segments: 512 KiB of offsets each at 64K bitlines.
+PARAM_CACHE_ENTRIES = 32
+# Entries of a device's table of each drawn segment's weight multiplier and
+# offset extremes: one bank's segments, about 3 MB when full (some 370
+# bytes an entry); cleared when full.
+EXTREMES_TABLE_ENTRIES = 8192
 # scipy's ndtr is exactly 0.0 at or below -38 and exactly 1.0 at or above
 # +38: erfc underflows once x**2 / 2 passes log(DBL_MAX), at |x| = 37.68.
 PROBIT_SATURATION = 38.0
@@ -226,7 +233,13 @@ def _saturated_probability(deviation_range, thermal_noise_sigma,
 @dataclass(frozen=True)
 class SegmentParams:
     """Deterministic per-segment electrical parameters, from which
-    :meth:`DeviceState.deviation` gives every deviation of the segment."""
+    :meth:`DeviceState.deviation` gives every deviation of the segment.
+
+    A device's extremes table holds a second form: ``sa_offset`` is then
+    the segment's ``[lowest, highest]`` offsets, from which
+    :meth:`DeviceState.deviation_extremes` gives the lowest and highest
+    deviations of a fills vector.
+    """
 
     sa_offset: np.ndarray          # per-bitline SA offset, normalized volts
     weight_multiplier: float       # per-segment charge-sharing multiplier
@@ -241,6 +254,13 @@ class DeviceState:
     be gigabytes) from splittable streams keyed by
     (master_seed, bank_group, bank, segment_index), so any evaluation
     order reproduces identical values.
+
+    Two caches keep what a draw made. The offsets cache holds each drawn
+    segment's :class:`SegmentParams` and is cleared once it holds more
+    than ``PARAM_CACHE_ENTRIES``. The extremes table keeps each drawn
+    segment's multiplier and lowest and highest offsets for up to
+    ``EXTREMES_TABLE_ENTRIES`` segments, so a segment's deviation extremes
+    outlive its offsets. Both start empty on :meth:`fork`.
     """
 
     def __init__(self, geometry, timings, variation):
@@ -248,6 +268,8 @@ class DeviceState:
         self.timings = timings
         self.variation = variation
         self._param_cache = {}
+        # (bg, bank, segment) -> SegmentParams of the [lowest, highest] offsets
+        self._extremes = {}
         # (bg, bank, row) -> fill level (float) or read-only float32 array
         self._cells = {}
         # (bg, bank, rows, fills, first, temperature) -> sensing threshold of
@@ -278,10 +300,23 @@ class DeviceState:
             + v.spatial_wave_amplitude * np.sin(
                 2.0 * np.pi * address.segment_index / v.spatial_wave_period)
         params = SegmentParams(sa_offset=offsets, weight_multiplier=mult)
-        if len(self._param_cache) > 64:
+        if len(self._param_cache) > PARAM_CACHE_ENTRIES:
             self._param_cache.clear()
+        if len(self._extremes) >= EXTREMES_TABLE_ENTRIES:
+            self._extremes.clear()
+            self._param_cache.clear()  # every cached segment has its extremes
         self._param_cache[key] = params
+        self._extremes[key] = SegmentParams(
+            sa_offset=np.array([offsets.min(), offsets.max()]),
+            weight_multiplier=mult)
         return params
+
+    def _deviation_of(self, params, cells, first_row):
+        """The one join of a segment's parameters to the kernel."""
+        v = self.variation
+        return charge_share_deviation(
+            cells, v.first_row_weight, v.later_row_weight,
+            params.weight_multiplier, params.sa_offset, first_row)
 
     def deviation(self, address, cells, first_row=0):
         """Charge-sharing deviation of the segment's open rows.
@@ -289,11 +324,22 @@ class DeviceState:
         ``cells`` is a (rows,) fills vector or a stacked (rows, n) array of
         row charges; the row at index ``first_row`` was activated first.
         """
-        params = self.segment_params(address)
-        v = self.variation
-        return charge_share_deviation(
-            cells, v.first_row_weight, v.later_row_weight,
-            params.weight_multiplier, params.sa_offset, first_row)
+        return self._deviation_of(self.segment_params(address), cells,
+                                  first_row)
+
+    def deviation_extremes(self, address, fills, first_row=0):
+        """The lowest and highest of ``deviation(address, fills,
+        first_row)``, bit for bit, as a float64 pair.
+
+        For a (rows,) ``fills`` vector the deviation is ``c + sa_offset``
+        with one scalar ``c``, and rounding is monotone, so the deviations
+        of the lowest and highest offsets are its extremes. They come from
+        the extremes table, which draws the segment only on a miss.
+        """
+        key = (address.bank_group, address.bank, address.segment_index)
+        if key not in self._extremes:
+            self.segment_params(address)
+        return self._deviation_of(self._extremes[key], fills, first_row)
 
     def sense_threshold(self, bank_group, bank, rows, first_row,
                         temperature):

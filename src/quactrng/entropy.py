@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .config import DataPattern, SegmentAddress
+from .config import DataPattern, SegmentAddress, _require
 from .device import _saturated_probability, success_probability
 from .engine import run_quac
 from .rng import TAG_EXPERIMENT, stream
@@ -116,14 +116,19 @@ def _pattern_probabilities(device, address, pattern, temperature):
     """Analytic per-bitline P(1) for a fixed fill pattern on one segment,
     or the scalar 0.0 or 1.0 when the pattern's deviation clears the
     sensing margin on every bitline, so that each one has exactly that P(1).
+
+    The margin test reads only the lowest and highest deviations, from the
+    device's extremes table, so a saturated visit to a segment drawn
+    before draws nothing; the full deviation, and with it the segment's
+    offsets, is fetched only when the test gives None.
     """
     sigma = device.variation.thermal_noise_sigma
     adjust = device.temperature_adjust(temperature)
-    deviation = device.deviation(address, pattern.fills)
-    p = _saturated_probability((deviation.min(), deviation.max()), sigma,
-                               adjust)
+    p = _saturated_probability(
+        device.deviation_extremes(address, pattern.fills), sigma, adjust)
     if p is None:
-        p = success_probability(deviation, sigma, adjust)
+        p = success_probability(device.deviation(address, pattern.fills),
+                                sigma, adjust)
     return p
 
 
@@ -146,10 +151,14 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
 
     Under ``"binomial"`` and ``"analytic"``, P(1) comes from the segment's
     ``device.deviation``, as in sensing. A segment whose lowest and highest
-    deviations both lie past the sensing margin (P(1) exactly 0 or 1 on
-    every bitline) gets its row of H = 0 directly, with the bytes the full
-    path gives but without its P(1), draws or entropy arrays; most fill
-    patterns do so on a calibrated device.
+    deviations (``device.deviation_extremes``) both lie past the sensing
+    margin (P(1) exactly 0 or 1 on every bitline) gets its row of H = 0
+    directly, with the bytes the full path gives but without its P(1),
+    draws or entropy arrays; most fill patterns do so on a calibrated
+    device. Such a segment's offsets are drawn only if the device has not
+    drawn it before, so a sweep of every pattern draws each segment once
+    for the first pattern and then only for the patterns that do not
+    saturate.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
@@ -297,22 +306,42 @@ class SibPlan:
 
     @staticmethod
     def from_dict(data):
-        entries = [
-            {
-                "segment": SegmentAddress(*e["segment"]),
-                "ranges": [tuple(r) for r in e["ranges"]],
-            }
-            for e in data["entries"]
-        ]
-        return SibPlan(bins=[tuple(b) for b in data["bins"]], entries=entries,
-                       pattern=data.get("pattern", "0111"),
-                       min_block_entropy=data.get("min_block_entropy",
-                                                  MIN_BLOCK_ENTROPY))
+        """The plan :meth:`to_dict` gave; a plan of another shape raises
+        ``ConfigError`` naming the part that is malformed."""
+        _require(isinstance(data, dict), "plan", "must be a JSON object")
+        bins, entries = data.get("bins"), data.get("entries")
+        _require(isinstance(bins, list)
+                 and all(_numbers(b, 2, (int, float)) for b in bins),
+                 "plan bins", "must be a list of [low_c, high_c] pairs")
+        _require(isinstance(entries, list) and len(entries) == len(bins),
+                 "plan entries", "must be a list with one entry per bin")
+        for i, e in enumerate(entries):
+            _require(isinstance(e, dict)
+                     and _numbers(e.get("segment"), 3, int)
+                     and isinstance(e.get("ranges"), list)
+                     and all(_numbers(r, 3, (int, float))
+                             for r in e["ranges"]),
+                     f"plan entries[{i}]", "must hold a [bank_group, bank, "
+                     "segment_index] segment and [start, end, entropy] ranges")
+        return SibPlan(
+            bins=[tuple(b) for b in bins],
+            entries=[{"segment": SegmentAddress(*e["segment"]),
+                      "ranges": [tuple(r) for r in e["ranges"]]}
+                     for e in entries],
+            pattern=data.get("pattern", "0111"),
+            min_block_entropy=data.get("min_block_entropy",
+                                       MIN_BLOCK_ENTROPY))
 
     @staticmethod
     def from_json(path):
         with open(path) as fh:
             return SibPlan.from_dict(json.load(fh))
+
+
+def _numbers(value, count, kinds):
+    """Whether ``value`` is a list of ``count`` numbers of ``kinds``."""
+    return isinstance(value, list) and len(value) == count and all(
+        isinstance(x, kinds) and not isinstance(x, bool) for x in value)
 
 
 def _cut_ranges(bitline, min_entropy):

@@ -112,6 +112,26 @@ def test_generate_refuses_plan_pattern(tmp_path, pattern):
     assert not (tmp_path / "bits.bin").exists()
 
 
+@pytest.mark.parametrize("plan, part", [
+    ([], "plan"),
+    ({"entries": []}, "plan bins"),
+    ({"bins": [[30.0, 90.0]], "entries": []}, "plan entries"),
+    ({"bins": [[30.0, 90.0]], "entries": [[0, 0, 100]]}, "plan entries[0]"),
+    ({"bins": [[30.0, 90.0]],
+      "entries": [{"segment": [0, 100], "ranges": []}]}, "plan entries[0]"),
+    ({"bins": [[30.0, 90.0]],
+      "entries": [{"segment": [0, 0, 100], "ranges": [[0, 512]]}]},
+     "plan entries[0]"),
+], ids=["list", "no_bins", "entry_count", "entry_list", "short_segment",
+        "short_range"])
+def test_generate_refuses_malformed_plan(tmp_path, capsys, plan, part):
+    (tmp_path / "bad.json").write_text(json.dumps(plan))
+    assert run(tmp_path, "generate", "--plan", str(tmp_path / "bad.json"),
+               "--bits", "4096") == 1
+    assert not (tmp_path / "bits.bin").exists()
+    assert capsys.readouterr().err.startswith(f"error: {part}:")
+
+
 def test_generate_reproducible(tmp_path):
     device = build_device(variation=calibrated_variation())
     emap = characterize(device, "0111", range(64), trials=1000)

@@ -18,10 +18,12 @@ import quactrng
 from quactrng.config import (ConfigError, DataPattern, DeviceConfig,
                              DramGeometry, SegmentAddress, TimingParams,
                              VariationProfile, calibrated_variation)
-from quactrng.device import (DecoderError, DecoderState, build_device,
+from quactrng.device import (EXTREMES_TABLE_ENTRIES, PARAM_CACHE_ENTRIES,
+                             DecoderError, DecoderState, build_device,
                              charge_share_deviation, decoder_step,
                              raw_threshold, sample_sense_amp,
                              success_probability)
+from quactrng.entropy import characterize
 from quactrng.rng import TAG_EXPERIMENT, TAG_SEGMENT_PARAMS, stream
 
 
@@ -200,15 +202,23 @@ def _callers(tree, callee):
     return found
 
 
-def test_charge_share_deviation_has_one_caller():
-    """Every deviation, in sensing and in characterization, comes from
-    ``DeviceState.deviation``: the quantity has one implementation."""
+def _package_callers(callee):
     callers = set()
     for path in sorted(Path(quactrng.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        callers |= {f"{path.stem}.{name}"
-                    for name in _callers(tree, "charge_share_deviation")}
-    assert callers == {"device.DeviceState.deviation"}
+        callers |= {f"{path.stem}.{name}" for name in _callers(tree, callee)}
+    return callers
+
+
+def test_charge_share_deviation_has_one_caller():
+    """Every deviation, in sensing and in characterization, and every
+    deviation extreme comes from one join of a segment's parameters to the
+    kernel: the quantity has one implementation."""
+    assert _package_callers("charge_share_deviation") == \
+        {"device.DeviceState._deviation_of"}
+    assert _package_callers("_deviation_of") == \
+        {"device.DeviceState.deviation",
+         "device.DeviceState.deviation_extremes"}
 
 
 def test_sample_sense_amp_matches_analytic_probability():
@@ -356,6 +366,80 @@ def test_segment_params_match_reference_draw(variation):
         assert params.sa_offset.tobytes() == offsets.tobytes()
         assert np.float64(params.weight_multiplier).tobytes() == \
             np.float64(mult).tobytes()
+
+
+FILLS = st.one_of(
+    st.sampled_from([p.fills for p in DataPattern.all_patterns()]),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).map(
+        lambda f: np.array(f, dtype=np.float32)))
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 8191), FILLS,
+       st.integers(0, 3), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_deviation_extremes_match_full_deviation(bank_group, bank, segment,
+                                                 fills, first_row,
+                                                 column_wave, extremes_first):
+    """The extremes are the full deviation's min and max, bit for bit,
+    whichever of the two lookups draws the segment."""
+    variation = calibrated_variation()
+    if column_wave:
+        variation = replace(variation, column_sigma_wave_amplitude=0.3)
+    device = build_device(variation=variation)
+    address = SegmentAddress(bank_group, bank, segment)
+    if extremes_first:
+        extremes = device.deviation_extremes(address, fills, first_row)
+    d = device.deviation(address, fills, first_row)
+    if not extremes_first:
+        extremes = device.deviation_extremes(address, fills, first_row)
+    assert extremes.tobytes() == np.array([d.min(), d.max()]).tobytes()
+
+
+def test_deviation_extremes_outlive_the_offsets_cache(monkeypatch):
+    device = build_device(variation=calibrated_variation())
+    addresses = [SegmentAddress(0, 1, s)
+                 for s in range(2 * PARAM_CACHE_ENTRIES + 5)]
+    fills = DataPattern("0111").fills
+    first = [device.deviation_extremes(a, fills, 2) for a in addresses]
+    assert len(device._param_cache) <= PARAM_CACHE_ENTRIES + 1
+    monkeypatch.setattr(device, "segment_params",
+                        lambda address: pytest.fail(f"{address} redrawn"))
+    again = [device.deviation_extremes(a, fills, 2) for a in addresses]
+    assert [e.tobytes() for e in again] == [e.tobytes() for e in first]
+
+
+def test_extremes_table_stays_within_its_bound(monkeypatch):
+    assert EXTREMES_TABLE_ENTRIES == DramGeometry().segments_per_bank
+    monkeypatch.setattr(quactrng.device, "EXTREMES_TABLE_ENTRIES", 5)
+    device = build_device(variation=calibrated_variation())
+    fills = DataPattern("1000").fills
+    addresses = [SegmentAddress(1, 2, s) for s in range(12)]
+    for a in addresses + addresses[::-1]:
+        extremes = device.deviation_extremes(a, fills)
+        assert len(device._extremes) <= 5
+        d = device.deviation(a, fills)
+        assert extremes.tobytes() == np.array([d.min(), d.max()]).tobytes()
+
+
+def test_extremes_table_leaves_exact_and_forked_paths_alone():
+    """A fork starts with empty caches, and the "exact" method, which
+    senses through forks, gives a fresh device's map on a device whose
+    table is already filled."""
+    segments = [3, 4]
+    fresh = build_device(variation=calibrated_variation())
+    expected = characterize(fresh, "0111", segments, trials=2,
+                            method="exact").bitline
+    assert not fresh._extremes
+    used = build_device(variation=calibrated_variation())
+    characterize(used, "0000", range(8))
+    fork = used.fork()
+    assert not fork._extremes and not fork._param_cache
+    assert characterize(used, "0111", segments, trials=2,
+                        method="exact").bitline.tobytes() == expected.tobytes()
+    address = SegmentAddress(0, 0, 5)
+    cells = np.stack([fork.read_cells(0, 0, r) for r in range(4)])
+    assert fork.deviation(address, cells).tobytes() == \
+        used.deviation(address, cells).tobytes()
 
 
 def test_temperature_adjust_trend():

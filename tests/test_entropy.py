@@ -10,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import quactrng.device
 from quactrng import build_device, calibrated_variation, entropy
-from quactrng.config import DataPattern, DramGeometry, SegmentAddress, \
-    VariationProfile
+from quactrng.config import ConfigError, DataPattern, DramGeometry, \
+    SegmentAddress, VariationProfile
 from quactrng.device import PROBIT_SATURATION, DeviceState
-from quactrng.entropy import (EntropyMap, binary_entropy, bitline_entropy,
-                              build_sib_plan, characterize,
+from quactrng.entropy import (EntropyMap, SibPlan, binary_entropy,
+                              bitline_entropy, build_sib_plan, characterize,
                               default_temperature_bins, spatial_profile)
+from quactrng.rng import TAG_SEGMENT_PARAMS
 
 # High-precision oracle for H(0.11), computed independently with 40-digit
 # arithmetic.
@@ -220,12 +222,11 @@ def test_no_shortcut_without_positive_adjust(device, monkeypatch, method,
     assert emap.bitline.tobytes() == slow.bitline.tobytes()
 
 
-def test_sweep_keeps_offset_draws_and_probits_only_random_patterns(
-        monkeypatch):
-    """Characterizing every pattern over more segments than the offset
-    cache holds fetches each segment's parameters once per pattern, in
-    order, so the cache ends as before; only the two patterns that do not
-    clear the sensing margin reach the probit."""
+def test_sweep_draws_offsets_only_for_random_patterns(monkeypatch):
+    """Characterizing every pattern over more segments than the offsets
+    cache holds fetches each segment's parameters once, on the first
+    pattern; after that only the two patterns that do not clear the
+    sensing margin fetch them, and only they reach the probit."""
     device = build_device(variation=calibrated_variation())
     segments = range(80)
     param_calls = count_calls(monkeypatch, DeviceState, "segment_params")
@@ -234,8 +235,27 @@ def test_sweep_keeps_offset_draws_and_probits_only_random_patterns(
     for pattern in patterns:
         characterize(device, pattern, segments)
     assert [a[1].segment_index for a in param_calls] == \
-        [s for _ in patterns for s in segments]
+        [s for i, p in enumerate(patterns)
+         if i == 0 or str(p) in ("0111", "1000") for s in segments]
     assert len(probit_calls) == 2 * len(segments)
+
+
+def test_four_bin_characterization_draws_each_segment_once(monkeypatch):
+    """A four-bin plan's "0111" characterization over 32 segments revisits
+    them from the offsets cache: each segment is drawn exactly once."""
+    drawn = []
+    draw = quactrng.device.stream
+
+    def counted(seed, tag, *key):
+        if tag == TAG_SEGMENT_PARAMS:
+            drawn.append(key)
+        return draw(seed, tag, *key)
+    monkeypatch.setattr(quactrng.device, "stream", counted)
+    device = build_device(variation=calibrated_variation())
+    for low, high in default_temperature_bins(40.0, 60.0, 4):
+        characterize(device, "0111", range(32),
+                     temperature=(low + high) / 2)
+    assert drawn == [(0, 0, s) for s in range(32)]
 
 
 def test_estimator_converges_to_analytic():
@@ -368,6 +388,18 @@ def test_plan_json_roundtrip(tmp_path, device):
     path.write_text(json.dumps(plan.to_dict()))
     loaded = type(plan).from_json(path)
     assert loaded.to_dict() == plan.to_dict()
+
+
+@pytest.mark.parametrize("data", [
+    [], {"bins": [[30.0]], "entries": [{}]},
+    {"bins": [[30.0, 90.0]], "entries": [{"segment": [0, 0, 1.5],
+                                          "ranges": []}]},
+    {"bins": [[30.0, 90.0]], "entries": [{"segment": [0, 0, 1],
+                                          "ranges": [[0, "512", 300.0]]}]},
+])
+def test_plan_from_dict_rejects_malformed(data):
+    with pytest.raises(ConfigError, match="^plan"):
+        SibPlan.from_dict(data)
 
 
 def test_default_temperature_bins():
