@@ -151,7 +151,8 @@ class DataPattern:
     symbols: str
 
     def __post_init__(self):
-        _require(len(self.symbols) == 4, "symbols", "must be 4 symbols")
+        _require(isinstance(self.symbols, str) and len(self.symbols) == 4,
+                 "symbols", "must be a string of 4 symbols")
         _require(set(self.symbols) <= {"0", "1"}, "symbols",
                  "symbols must be '0' or '1'")
 

@@ -38,10 +38,6 @@ __all__ = [
 
 PRECHARGE_LEVEL = 0.5
 REFERENCE_TEMP_C = 50.0
-# Entries of a device's constant-fill sensing cache. Each holds one uint64
-# threshold row: 512 KiB at 64K bitlines, so 4 MiB when full. Eight cover
-# the pipeline's four banks in two temperature bins.
-SENSE_CACHE_ENTRIES = 8
 # A device's cache of drawn sense-amp offsets is cleared once it holds more
 # than this many segments: 512 KiB of offsets each at 64K bitlines.
 PARAM_CACHE_ENTRIES = 32
@@ -272,9 +268,9 @@ class DeviceState:
         self._extremes = {}
         # (bg, bank, row) -> fill level (float) or read-only float32 array
         self._cells = {}
-        # (bg, bank, rows, fills, first, temperature) -> sensing threshold of
-        # constant fills, least recently used first; ``fork`` starts empty
-        self._sense_cache = {}
+        # (bg, bank) -> ((rows, fills, first, temperature), threshold) of the
+        # bank's last constant-fill sense; ``fork`` starts empty
+        self._bank_thresholds = {}
         self._decoders = {}  # (bg, bank) -> DecoderState
         traits = stream(variation.master_seed, TAG_CHIP_TRAITS)
         # +1: entropy rises with temperature (deviation shrinks); -1: falls.
@@ -347,32 +343,26 @@ class DeviceState:
         ``rows``; ``first_row`` is the one activated first.
 
         When every open row holds a constant fill, the deviation comes from
-        the fills vector and the threshold is cached (at most
-        ``SENSE_CACHE_ENTRIES``, least recently used evicted first).
+        the fills vector, and the bank keeps the threshold of its last such
+        key (rows, fills, first row, temperature) for the next sense.
         """
         rows = tuple(sorted(rows))
         first = rows.index(first_row)
-
-        def threshold_of(cells):
-            address = SegmentAddress(bank_group, bank, rows[0] // 4)
-            return raw_threshold(success_probability(
-                self.deviation(address, cells, first),
-                self.variation.thermal_noise_sigma,
-                self.temperature_adjust(temperature)))
-
         fills = tuple(self.row_fill(bank_group, bank, r) for r in rows)
-        if None in fills:
-            return threshold_of(np.stack(
-                [self.read_cells(bank_group, bank, r) for r in rows]))
-        cache = self._sense_cache
-        key = (bank_group, bank, rows, fills, first, temperature)
-        threshold = cache.pop(key, None)
-        if threshold is None:
-            if len(cache) >= SENSE_CACHE_ENTRIES:
-                del cache[next(iter(cache))]
-            # cells hold float32 charges, so a fill enters as a float32
-            threshold = threshold_of(np.array(fills, dtype=np.float32))
-        cache[key] = threshold
+        key = (rows, fills, first, temperature)
+        kept = self._bank_thresholds.get((bank_group, bank))
+        if kept and kept[0] == key:
+            return kept[1]
+        # cells hold float32 charges, so a fill enters as a float32
+        cells = np.array(fills, dtype=np.float32) if None not in fills \
+            else np.stack([self.read_cells(bank_group, bank, r) for r in rows])
+        threshold = raw_threshold(success_probability(
+            self.deviation(SegmentAddress(bank_group, bank, rows[0] // 4),
+                           cells, first),
+            self.variation.thermal_noise_sigma,
+            self.temperature_adjust(temperature)))
+        if None not in fills:
+            self._bank_thresholds[(bank_group, bank)] = (key, threshold)
         return threshold
 
     def temperature_adjust(self, temperature_c):

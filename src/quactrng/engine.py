@@ -64,21 +64,6 @@ class TraceResult:
         return np.concatenate(self.payloads)
 
 
-def _sense(device, bank_group, bank, active_rows, first_row, temperature, rng):
-    """Resolve the sense amplifiers for the given open rows and restore the
-    sensed values into every open row (all open rows track the row buffer).
-    """
-    threshold = device.sense_threshold(bank_group, bank, active_rows,
-                                       first_row, temperature)
-    raw = rng.bit_generator.random_raw(device.geometry.bitlines_per_row)
-    bits = sample_sense_amp(threshold, raw)
-    sensed = bits.astype(np.float32)
-    sensed.flags.writeable = False
-    for r in active_rows:
-        device.write_row(bank_group, bank, r, sensed)
-    return bits
-
-
 def run_quac(device, segment, pattern=None, experiment_seed=0,
              temperature=50.0):
     """Perform one quadruple activation on a segment and return the sensed
@@ -174,18 +159,27 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
     streams = {}         # (bg, bank, segment) -> noise stream of this trace
 
     def sense(key, time):
-        if key not in row_buffer:
-            active = device.decoder(*key).active_rows()
-            segment = (*key, min(active) // 4)
-            if segment not in streams:
-                streams[segment] = stream(device.variation.master_seed,
-                                          TAG_EXPERIMENT, experiment_seed,
-                                          *segment)
-            row_buffer[key] = _sense(device, *key, active,
-                                     first_open.get(key, min(active)),
-                                     temperature, streams[segment])
-            result.sensed.append((time, key, row_buffer[key]))
-        return row_buffer[key]
+        """The bank's row buffer, sensed on the first call since its ACT
+        and restored into every open row (they track the row buffer)."""
+        if key in row_buffer:
+            return row_buffer[key]
+        active = device.decoder(*key).active_rows()
+        segment = (*key, min(active) // 4)
+        if segment not in streams:
+            streams[segment] = stream(device.variation.master_seed,
+                                      TAG_EXPERIMENT, experiment_seed,
+                                      *segment)
+        threshold = device.sense_threshold(
+            *key, active, first_open.get(key, min(active)), temperature)
+        raw = streams[segment].bit_generator.random_raw(
+            device.geometry.bitlines_per_row)
+        bits = row_buffer[key] = sample_sense_amp(threshold, raw)
+        sensed = bits.astype(np.float32)
+        sensed.flags.writeable = False
+        for row in active:
+            device.write_row(*key, row, sensed)
+        result.sensed.append((time, key, bits))
+        return bits
 
     for cmd in commands:
         _check_address(device.geometry, cmd)

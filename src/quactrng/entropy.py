@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .config import DataPattern, SegmentAddress, _require
+from .config import ConfigError, DataPattern, SegmentAddress, _require
 from .device import _saturated_probability, success_probability
 from .engine import run_quac
 from .rng import TAG_EXPERIMENT, stream
@@ -184,10 +184,8 @@ def characterize(device, pattern, segments, trials=1000, temperature=50.0,
             return bitline_entropy(ones, trials).astype(np.float32)
         p = _pattern_probabilities(device, address, pattern, temperature)
         if np.ndim(p) == 0:
-            # every trial of every bitline senses the same value
-            h = binary_entropy(p) if method == "analytic" \
-                else bitline_entropy(int(p) * trials, trials)
-            return np.full(n, h, dtype=np.float32)
+            # every trial of every bitline senses the same value: H = -0.0
+            return np.full(n, binary_entropy(p), dtype=np.float32)
         if method == "analytic":
             return binary_entropy(p).astype(np.float32)
         rng = stream(device.variation.master_seed, TAG_EXPERIMENT, 0,
@@ -262,7 +260,9 @@ def spatial_profile(emap):
 
 
 def default_temperature_bins(low=30.0, high=90.0, count=10):
-    """Non-overlapping equal-width temperature bins (°C)."""
+    """Non-overlapping equal-width temperature bins (°C) from low to high."""
+    _require(high > low, "temperature range", f"high {high} C must lie "
+             f"above low {low} C")
     edges = np.linspace(low, high, count + 1)
     return [(float(edges[i]), float(edges[i + 1])) for i in range(count)]
 
@@ -310,9 +310,10 @@ class SibPlan:
         ``ConfigError`` naming the part that is malformed."""
         _require(isinstance(data, dict), "plan", "must be a JSON object")
         bins, entries = data.get("bins"), data.get("entries")
-        _require(isinstance(bins, list)
-                 and all(_numbers(b, 2, (int, float)) for b in bins),
-                 "plan bins", "must be a list of [low_c, high_c] pairs")
+        _require(isinstance(bins, list) and all(
+            _numbers(b, 2, (int, float)) and b[0] <= b[1] for b in bins),
+            "plan bins", "must be a list of [low_c, high_c] pairs with "
+            "low_c <= high_c")
         _require(isinstance(entries, list) and len(entries) == len(bins),
                  "plan entries", "must be a list with one entry per bin")
         for i, e in enumerate(entries):
@@ -320,15 +321,21 @@ class SibPlan:
                      and _numbers(e.get("segment"), 3, int)
                      and isinstance(e.get("ranges"), list)
                      and all(_numbers(r, 3, (int, float))
+                             and _numbers(r[:2], 2, int)
                              for r in e["ranges"]),
                      f"plan entries[{i}]", "must hold a [bank_group, bank, "
                      "segment_index] segment and [start, end, entropy] ranges")
+        pattern = data.get("pattern", "0111")
+        try:
+            DataPattern(pattern)
+        except ConfigError as exc:
+            raise ConfigError(f"plan pattern: {exc}") from None
         return SibPlan(
             bins=[tuple(b) for b in bins],
             entries=[{"segment": SegmentAddress(*e["segment"]),
                       "ranges": [tuple(r) for r in e["ranges"]]}
                      for e in entries],
-            pattern=data.get("pattern", "0111"),
+            pattern=pattern,
             min_block_entropy=data.get("min_block_entropy",
                                        MIN_BLOCK_ENTROPY))
 

@@ -122,8 +122,17 @@ def test_generate_refuses_plan_pattern(tmp_path, pattern):
     ({"bins": [[30.0, 90.0]],
       "entries": [{"segment": [0, 0, 100], "ranges": [[0, 512]]}]},
      "plan entries[0]"),
+    ({"bins": [[30.0, 90.0]],
+      "entries": [{"segment": [0, 0, 100], "ranges": [[0.5, 100, 300.0]]}]},
+     "plan entries[0]"),
+    ({"bins": [[90.0, 30.0]],
+      "entries": [{"segment": [0, 0, 100], "ranges": [[0, 512, 300.0]]}]},
+     "plan bins"),
+    ({"pattern": 5, "bins": [[30.0, 90.0]],
+      "entries": [{"segment": [0, 0, 100], "ranges": [[0, 512, 300.0]]}]},
+     "plan pattern"),
 ], ids=["list", "no_bins", "entry_count", "entry_list", "short_segment",
-        "short_range"])
+        "short_range", "float_range_bound", "inverted_bin", "number_pattern"])
 def test_generate_refuses_malformed_plan(tmp_path, capsys, plan, part):
     (tmp_path / "bad.json").write_text(json.dumps(plan))
     assert run(tmp_path, "generate", "--plan", str(tmp_path / "bad.json"),
@@ -163,6 +172,13 @@ def test_plan_without_bins_is_an_error(tmp_path, capsys):
                "--trials", "10") == 1
     assert not (tmp_path / "plan.json").exists()
     assert "need at least one entropy map" in capsys.readouterr().err
+
+
+def test_plan_with_inverted_temperature_range_is_an_error(tmp_path, capsys):
+    assert run(tmp_path, "plan", "--temp-low", "90", "--temp-high", "30",
+               "--segments", "4", "--trials", "10") == 1
+    assert not (tmp_path / "plan.json").exists()
+    assert capsys.readouterr().err.startswith("error: temperature range:")
 
 
 def test_malformed_config_is_an_error(tmp_path, capsys):

@@ -2,11 +2,9 @@
 charge sharing, and sense-amplifier sampling.
 """
 
-import ast
 import itertools
 import json
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,40 +181,13 @@ def test_charge_share_offset_and_multiplier():
     assert dev == pytest.approx(2.0 * 3.0 + 0.25)
 
 
-def _callers(tree, callee):
-    """Qualified names of the functions in ``tree`` that call ``callee``."""
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", getattr(func, "attr", None)) == callee:
-                    found.add(".".join(scope))
-            visit(child, scope)
-
-    visit(tree, ())
-    return found
-
-
-def _package_callers(callee):
-    callers = set()
-    for path in sorted(Path(quactrng.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        callers |= {f"{path.stem}.{name}" for name in _callers(tree, callee)}
-    return callers
-
-
-def test_charge_share_deviation_has_one_caller():
+def test_charge_share_deviation_has_one_caller(package_callers):
     """Every deviation, in sensing and in characterization, and every
     deviation extreme comes from one join of a segment's parameters to the
     kernel: the quantity has one implementation."""
-    assert _package_callers("charge_share_deviation") == \
+    assert package_callers("charge_share_deviation") == \
         {"device.DeviceState._deviation_of"}
-    assert _package_callers("_deviation_of") == \
+    assert package_callers("_deviation_of") == \
         {"device.DeviceState.deviation",
          "device.DeviceState.deviation_extremes"}
 

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from quactrng.config import (ConfigError, DramGeometry, SegmentAddress,
                              TimingParams)
+from quactrng import device as device_module
 from quactrng import engine
-from quactrng.device import (SENSE_CACHE_ENTRIES, DecoderError, build_device,
-                             sample_sense_amp)
+from quactrng.device import DecoderError, build_device, sample_sense_amp
 from quactrng.engine import (Command, TimingViolation,
                              copy_row,
                              execute_trace, run_quac)
 from quactrng import calibrated_variation
+from quactrng.entropy import characterize
+from quactrng.pipeline import (ReservedLayout, RngBuffer, generate_iteration,
+                               stream_bits)
 
 
 @pytest.fixture()
@@ -278,7 +281,7 @@ def test_trace_quac_senses_once(device, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# constant-fill sensing cache
+# constant-fill sensing thresholds
 # ---------------------------------------------------------------------------
 
 SMALL = DramGeometry(bank_groups=2, banks_per_group=1, subarrays_per_bank=2,
@@ -322,6 +325,8 @@ FILLS_0111 = (0, 1, 1, 1)
 
 @given(st.lists(quac_steps, min_size=1, max_size=8))
 @example([(1, 0, (None,) * 4, 0, 50.0, 0)] * 2)           # unwritten rows
+@example([(2, 0, (("array", 1), 1, 1, 1), 0, 50.0, 0),    # one key, two
+          (2, 0, (("array", 2), 1, 1, 1), 0, 50.0, 0)])   # per-bitline rows
 @example([(2, 1, FILLS_0111, 0, 50.0, 1),                  # repeat, then
           (2, 1, FILLS_0111, 0, 50.0, 2),                  # new temperature,
           (2, 1, FILLS_0111, 0, 90.0, 2),                  # other first row,
@@ -341,7 +346,8 @@ def test_cached_sensing_matches_fresh_device(steps):
         np.testing.assert_array_equal(
             execute_trace(device, cmds, seed, temperature).payload_bits(),
             execute_trace(fresh, cmds, seed, temperature).payload_bits())
-        assert len(device._sense_cache) <= SENSE_CACHE_ENTRIES
+        # at most one kept threshold per bank touched
+        assert set(device._bank_thresholds) <= {(s[1], 0) for s in steps}
 
 
 def test_per_bitline_write_is_not_served_from_cache(device):
@@ -377,6 +383,45 @@ def test_trace_quac_reuses_cached_fills(device):
         got = execute_trace(device, cmds).payload_bits()
         np.testing.assert_array_equal(got, expected)
     assert all(device.row_fill(0, 0, row) is None for row in SEG.rows)
+
+
+@pytest.fixture()
+def threshold_computations(monkeypatch):
+    """The P(1) rows turned into sensing thresholds, counted by wrapping
+    ``device.raw_threshold``."""
+    calls = []
+
+    def counting(p_one):
+        calls.append(np.shape(p_one))
+        return raw_threshold(p_one)
+
+    raw_threshold = device_module.raw_threshold
+    monkeypatch.setattr(device_module, "raw_threshold", counting)
+    return calls
+
+
+def test_refills_at_one_temperature_compute_one_threshold_per_bank(
+        device, plan, threshold_computations):
+    buffer = RngBuffer(capacity_bits=2048)
+    stream_bits(device, ReservedLayout(), plan, 20_000, buffer=buffer)
+    assert len(buffer.events) > 2
+    assert len(threshold_computations) == len(ReservedLayout().banks)
+
+
+def test_new_temperatures_compute_one_threshold_per_bank_each(
+        device, plan, threshold_computations):
+    temperatures = [40.0, 40.5, 41.0, 41.5]
+    for iteration, temperature in enumerate(temperatures):
+        generate_iteration(device, ReservedLayout(), plan, temperature,
+                           iteration)
+    assert len(threshold_computations) == \
+        len(temperatures) * len(ReservedLayout().banks)
+
+
+def test_exact_characterization_computes_one_threshold_per_segment(
+        device, threshold_computations):
+    characterize(device, "0111", range(3), trials=5, method="exact")
+    assert len(threshold_computations) == 3
 
 
 def test_sensed_row_is_shared_and_read_only(device):

@@ -1,6 +1,6 @@
 """Tooling tests: the benchmark's span tracer can find what it wraps and
-sees those functions called, and its buffer subclass still counts
-spills."""
+sees those functions called, sensing has the one caller it wraps, and its
+buffer subclass still counts spills."""
 
 import importlib.util
 import sys
@@ -58,6 +58,14 @@ def test_trace_targets_are_called(run):
         "entropy.characterize", "entropy.bitline_entropy",
         "entropy.build_sib_plan"]
     assert not [name for name in expected if calls.get(name, 0) < 1]
+
+
+def test_sensing_has_one_caller(package_callers):
+    """One function asks for the threshold, draws the raw words and
+    compares; the benchmark wraps ``sample_sense_amp`` where it looks it
+    up."""
+    for callee in ("sense_threshold", "sample_sense_amp"):
+        assert package_callers(callee) == {"engine.execute_trace.sense"}
 
 
 def test_spill_counting_buffer_counts_spills(run):
