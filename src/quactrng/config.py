@@ -194,13 +194,11 @@ class VariationProfile:
     trend_sign_fraction: float = 24.0 / 40.0
 
     def __post_init__(self):
-        for name in ("sa_offset_sigma", "thermal_noise_sigma",
-                     "segment_weight_jitter_sigma"):
+        for name in ("sa_offset_sigma", "segment_weight_jitter_sigma"):
             _require(getattr(self, name) >= 0, name, "sigma must be >= 0")
-        _require(self.first_row_weight > 0, "first_row_weight", "must be > 0")
-        _require(self.later_row_weight > 0, "later_row_weight", "must be > 0")
-        _require(self.spatial_wave_period > 0, "spatial_wave_period",
-                 "must be > 0")
+        for name in ("thermal_noise_sigma", "first_row_weight",
+                     "later_row_weight", "spatial_wave_period"):
+            _require(getattr(self, name) > 0, name, "must be > 0")
         _require(0.0 <= self.trend_sign_fraction <= 1.0, "trend_sign_fraction",
                  "must be in [0, 1]")
         _require(0 <= self.master_seed < 2 ** 64, "master_seed",

@@ -416,10 +416,6 @@ class DeviceState:
         data.flags.writeable = False
         return data
 
-    def has_row(self, bank_group, bank, row):
-        """Whether the row has been written since the device was built."""
-        return (bank_group, bank, row) in self._cells
-
     def decoder(self, bank_group, bank):
         return self._decoders.get((bank_group, bank)) or DecoderState()
 

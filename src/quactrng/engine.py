@@ -2,7 +2,7 @@
 the quadruple-activation sequence, in-DRAM row copy, and cache-block reads.
 
 :func:`execute_trace` alone steps the row decoder and senses; :func:`run_quac`
-is a four-command trace through it. Open rows are sensed once, when first read
+is a trace through it: the pattern's row writes, if any, then four commands. Open rows are sensed once, when first read
 or closed by a PRE, on one stream per (experiment seed, bank group, bank,
 segment) per trace; each further sense of a segment takes its next words.
 """
@@ -69,9 +69,10 @@ def run_quac(device, segment, pattern=None, experiment_seed=0,
     """Perform one quadruple activation on a segment and return the sensed
     row-buffer bits (one per bitline).
 
-    When ``pattern`` is given the four rows are written with its fills
-    first; with ``pattern=None`` the current cell contents are used (e.g.
-    after copy-based initialization). The sequence is ACT(row0), PRE after
+    When ``pattern`` is given the trace first writes the four rows with
+    its fills; with ``pattern=None`` the current cell contents are used
+    (e.g. after copy-based initialization). A segment outside the geometry
+    raises ConfigError before any write. The sequence is ACT(row0), PRE after
     ``DEFAULT_T1``, ACT(row3) after ``DEFAULT_T2``; a device whose tRAS or
     tRP does not exceed them raises TimingViolation. Other ACT orders, such
     as ACT(row1)->ACT(row2), run through :func:`execute_trace`. A bank left
@@ -82,25 +83,23 @@ def run_quac(device, segment, pattern=None, experiment_seed=0,
     if t1 >= t.tRAS or t2 >= t.tRP:
         raise TimingViolation(
             "no QUAC under legal timings: need t1 < tRAS and t2 < tRP")
-    device.validate_address(segment)
     bg, bank = segment.bank_group, segment.bank
-    if pattern is not None:
-        if isinstance(pattern, str):
-            pattern = DataPattern(pattern)
-        for row, fill in zip(segment.rows, pattern.fills):
-            device.write_row(bg, bank, row, fill)
-
-    quac = [Command(0.0, "ACT", bg, bank, (segment.base_row,)),
-            Command(t1, "PRE", bg, bank),
-            Command(t1 + t2, "ACT", bg, bank, (segment.base_row + 3,)),
-            # closes the segment under legal timing, which senses it
-            Command(t1 + t2 + t.tRAS, "PRE", bg, bank)]
-    (_, _, bits), = execute_trace(device, quac, experiment_seed,
+    trace = [] if pattern is None else [
+        Command(float(i), "WRITE_ROW", bg, bank, (row, fill))
+        for i, (row, fill) in enumerate(
+            zip(segment.rows, DataPattern(str(pattern)).fills))]
+    t0 = float(len(trace))
+    trace += [Command(t0, "ACT", bg, bank, (segment.base_row,)),
+              Command(t0 + t1, "PRE", bg, bank),
+              Command(t0 + t1 + t2, "ACT", bg, bank, (segment.base_row + 3,)),
+              # closes the segment under legal timing, which senses it
+              Command(t0 + t1 + t2 + t.tRAS, "PRE", bg, bank)]
+    (_, _, bits), = execute_trace(device, trace, experiment_seed,
                                   temperature).sensed
     return bits
 
 
-def copy_row(device, bank_group, bank, src_row, dst_row, reserved_rows=()):
+def copy_row(device, bank_group, bank, src_row, dst_row):
     """In-DRAM row copy: destination charges become an exact copy of the
     source. Both rows must sit in the same subarray.
     """
@@ -108,9 +107,6 @@ def copy_row(device, bank_group, bank, src_row, dst_row, reserved_rows=()):
     if g.subarray_of_row(src_row) != g.subarray_of_row(dst_row):
         raise ConfigError(
             f"cross-subarray copy unsupported: rows {src_row} -> {dst_row}")
-    if dst_row in reserved_rows:
-        raise ConfigError(
-            f"destination row {dst_row} is a reserved source row")
     fill = device.row_fill(bank_group, bank, src_row)
     device.write_row(bank_group, bank, dst_row,
                      device.read_cells(bank_group, bank, src_row)

@@ -64,20 +64,13 @@ def vnc(bits):
     return second[first != second].copy()
 
 
-@dataclass(frozen=True)
 class ReservedLayout:
     """Rows the pipeline owns: in each of the four bank groups, one bank
     contributes one four-row segment plus two source rows (one all-0s, one
     all-1s) in the same subarray — six reserved rows per bank.
     """
 
-    banks: tuple = ((0, 0), (1, 0), (2, 0), (3, 0))
-
-    def __post_init__(self):
-        if len(self.banks) != 4 or \
-                len({bg for bg, _ in self.banks}) != 4:
-            raise ConfigError(
-                "banks: need one bank in each of 4 distinct bank groups")
+    banks = ((0, 0), (1, 0), (2, 0), (3, 0))
 
     def source_rows(self, geometry, segment_index):
         """(all_zeros_row, all_ones_row) in the segment's subarray."""
@@ -88,15 +81,15 @@ class ReservedLayout:
         return zeros, ones
 
     def ensure_sources(self, device, segment_index):
-        """Write the source-row fills if they have not been written yet;
-        returns the :meth:`source_rows` pair ``(zeros, ones)``."""
-        zeros, ones = self.source_rows(device.geometry, segment_index)
+        """Write each source row that does not hold its fill (never
+        written, or overwritten since, e.g. by a QUAC on a neighbouring
+        segment); returns the :meth:`source_rows` pair ``(zeros, ones)``."""
+        sources = self.source_rows(device.geometry, segment_index)
         for bg, bank in self.banks:
-            if not device.has_row(bg, bank, zeros):
-                device.write_row(bg, bank, zeros, 0)
-            if not device.has_row(bg, bank, ones):
-                device.write_row(bg, bank, ones, 1)
-        return zeros, ones
+            for fill, row in enumerate(sources):
+                if device.row_fill(bg, bank, row) != fill:
+                    device.write_row(bg, bank, row, fill)
+        return sources
 
 
 def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
@@ -128,8 +121,7 @@ def generate_iteration(device, layout, plan, temperature=50.0, iteration=0):
     for bg, bank in layout.banks:
         address = SegmentAddress(bg, bank, seg_index)
         for row, fill in zip(address.rows, fills):
-            copy_row(device, bg, bank, sources[fill], row,
-                     reserved_rows=sources)
+            copy_row(device, bg, bank, sources[fill], row)
         bits = run_quac(device, address, pattern=None,
                         experiment_seed=iteration, temperature=temperature)
         for start, end, _ in ranges:
@@ -190,7 +182,8 @@ def stream_bits(device, layout, plan, n_bits, buffer=None, temperature=50.0,
     next_iteration).
 
     Iterations are numbered from ``start_iteration``, and each number fixes
-    its words. A caller making several requests must pass the returned
+    its words, on a multi-bin plan too: each iteration rewrites the source
+    rows a QUAC on a neighbouring segment overwrote. A caller making several requests must pass the returned
     ``next_iteration`` back in: otherwise a later request replays words
     already served (two fresh calls return identical bits).
     """

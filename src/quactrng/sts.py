@@ -120,9 +120,7 @@ def cumulative_sums(bits, forward=True):
     if not forward:
         x = x[::-1]
     s = np.cumsum(x)
-    z = float(np.abs(s).max())
-    if z == 0.0:
-        return 0.0
+    z = float(np.abs(s).max())   # >= |s[0]| = 1
     sqrt_n = math.sqrt(n)
     k1 = np.arange(int((-n / z + 1) // 4), int((n / z - 1) // 4) + 1)
     term1 = (norm.cdf((4 * k1 + 1) * z / sqrt_n)

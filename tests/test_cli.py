@@ -187,6 +187,14 @@ def test_malformed_config_is_an_error(tmp_path, capsys):
                "device", "build") == 1
     assert not (tmp_path / "device.json").exists()
     assert capsys.readouterr().err.startswith("error: config")
+    # a noiseless profile could never be characterized
+    (tmp_path / "c.json").write_text(
+        '{"variation": {"thermal_noise_sigma": 0.0}}')
+    assert run(tmp_path, "--config", str(tmp_path / "c.json"),
+               "device", "build") == 1
+    assert not (tmp_path / "device.json").exists()
+    assert capsys.readouterr().err.startswith(
+        "error: thermal_noise_sigma: must be > 0")
 
 
 def test_domain_error_exit_code(tmp_path):

@@ -441,9 +441,9 @@ def test_rows_read_back_written_values():
     assert dev.read_cells(0, 0, 12).min() == 1.0
     # uninitialized rows float at the precharge level
     assert dev.read_cells(0, 0, 13).max() == 0.5
-    assert dev.has_row(0, 0, 12)
-    assert not dev.has_row(0, 0, 13)
-    assert not dev.fork().has_row(0, 0, 12)
+    assert dev.row_fill(0, 0, 12) == 1.0
+    assert dev.row_fill(0, 0, 13) == 0.5
+    assert dev.fork().row_fill(0, 0, 12) == 0.5
 
 
 def test_rows_are_read_only_and_not_aliased():

@@ -91,12 +91,6 @@ def test_copy_row_copies_and_checks_subarray(device):
         copy_row(device, 0, 0, 8, 600)
 
 
-def test_copy_row_reserved_guard(device):
-    device.write_row(0, 0, 8, 1)
-    with pytest.raises(ConfigError, match="reserved source row"):
-        copy_row(device, 0, 0, 8, 10, reserved_rows=(10,))
-
-
 def test_execute_trace_quac_core(device):
     t = device.timings
     cmds = [
@@ -176,6 +170,15 @@ def test_execute_trace_rejects_block_outside_row(device):
 def test_execute_trace_rejects_address_outside_geometry(device, cmds, match):
     with pytest.raises(ConfigError, match=match):
         execute_trace(device, cmds)
+
+
+@pytest.mark.parametrize("segment", [SegmentAddress(4, 0, 3),
+                                     SegmentAddress(0, 0, 8192)])
+def test_run_quac_rejects_segment_outside_geometry_before_writing(
+        device, segment):
+    with pytest.raises(ConfigError, match="WRITE_ROW at 0.0 ns"):
+        run_quac(device, segment, pattern="0111")
+    assert device.row_fill(segment.bank_group, 0, segment.base_row) == 0.5
 
 
 def test_execute_trace_requires_increasing_times(device):
@@ -312,11 +315,10 @@ def _fresh_copy(device, bank_group, rows):
     """A fresh fork holding the same contents in ``rows``."""
     fresh = device.fork()
     for row in rows:
-        if device.has_row(bank_group, 0, row):
-            fill = device.row_fill(bank_group, 0, row)
-            fresh.write_row(bank_group, 0, row,
-                            device.read_cells(bank_group, 0, row)
-                            if fill is None else fill)
+        fill = device.row_fill(bank_group, 0, row)
+        fresh.write_row(bank_group, 0, row,
+                        device.read_cells(bank_group, 0, row)
+                        if fill is None else fill)
     return fresh
 
 

@@ -103,11 +103,6 @@ def device():
     return build_device(variation=calibrated_variation())
 
 
-def test_layout_requires_four_bank_groups():
-    with pytest.raises(ConfigError, match="4 distinct bank groups"):
-        ReservedLayout(banks=((0, 0), (0, 1), (1, 0), (2, 0)))
-
-
 def test_layout_reserves_six_rows_per_bank(device):
     layout = ReservedLayout()
     zeros, ones = layout.source_rows(device.geometry, 100)
@@ -138,6 +133,30 @@ def test_generate_iteration_deterministic(device, plan):
     b = generate_iteration(device.fork(), ReservedLayout(), plan, 50.0, 3)
     for wa, wb in zip(a, b):
         np.testing.assert_array_equal(wa, wb)
+
+
+@pytest.mark.parametrize("segments", [(100, 101), (126, 127)],
+                         ids=["neighbours", "subarray-edge"])
+def test_iterations_do_not_depend_on_history(device, segments):
+    """Two bins on neighbouring segments: each QUAC senses into rows the
+    other bin copies its pattern from. Iteration i gives the same words
+    after the other bin's iterations as on a fresh device, and after every
+    iteration the sources it copied from hold their 0 and 1 fills."""
+    plan = build_sib_plan([characterize(device, "0111", [s])
+                           for s in segments],
+                          bins=[(30.0, 50.0), (50.0, 70.0)])
+    assert [e["segment"].segment_index for e in plan.entries] == \
+        list(segments)
+    layout, busy = ReservedLayout(), device.fork()
+    for i, temperature in enumerate([40.0, 60.0, 40.0, 60.0, 60.0, 40.0]):
+        words = generate_iteration(busy, layout, plan, temperature, i)
+        np.testing.assert_array_equal(
+            words, generate_iteration(device.fork(), layout, plan,
+                                      temperature, i))
+        segment = segments[plan.bin_for(temperature)]
+        sources = layout.source_rows(device.geometry, segment)
+        for bg, bank in layout.banks:
+            assert [busy.row_fill(bg, bank, r) for r in sources] == [0, 1]
 
 
 @pytest.mark.parametrize("pattern", ["0111", "1000"])

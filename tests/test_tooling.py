@@ -1,6 +1,6 @@
 """Tooling tests: the benchmark's span tracer can find what it wraps and
-sees those functions called, sensing has the one caller it wraps, and its
-buffer subclass still counts spills."""
+sees those functions called, sensing has the one caller it wraps, cells
+are written on one path, and its buffer subclass still counts spills."""
 
 import importlib.util
 import sys
@@ -66,6 +66,14 @@ def test_sensing_has_one_caller(package_callers):
     up."""
     for callee in ("sense_threshold", "sample_sense_amp"):
         assert package_callers(callee) == {"engine.execute_trace.sense"}
+
+
+def test_cells_are_written_on_one_path(package_callers):
+    """The engine changes a cell only as a trace command, a sense or a row
+    copy; the pipeline writes only the source rows it keeps."""
+    assert package_callers("write_row") == {
+        "engine.execute_trace", "engine.execute_trace.sense",
+        "engine.copy_row", "pipeline.ReservedLayout.ensure_sources"}
 
 
 def test_spill_counting_buffer_counts_spills(run):
