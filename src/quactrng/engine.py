@@ -2,9 +2,10 @@
 the quadruple-activation sequence, in-DRAM row copy, and cache-block reads.
 
 :func:`execute_trace` alone steps the row decoder and senses; :func:`run_quac`
-is a trace through it: the pattern's row writes, if any, then four commands. Open rows are sensed once, when first read
-or closed by a PRE, on one stream per (experiment seed, bank group, bank,
-segment) per trace; each further sense of a segment takes its next words.
+is a trace through it: the pattern's row writes, if any, then four commands.
+Open rows are sensed once, when first read or closed by a PRE, on one stream
+per (experiment seed, bank group, bank, segment) per trace; each further
+sense of a segment takes its next words.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def run_quac(device, segment, pattern=None, experiment_seed=0,
     When ``pattern`` is given the trace first writes the four rows with
     its fills; with ``pattern=None`` the current cell contents are used
     (e.g. after copy-based initialization). A segment outside the geometry
-    raises ConfigError before any write. The sequence is ACT(row0), PRE after
-    ``DEFAULT_T1``, ACT(row3) after ``DEFAULT_T2``; a device whose tRAS or
-    tRP does not exceed them raises TimingViolation. Other ACT orders, such
+    raises ConfigError before any write. The sequence is ACT(row0), PRE
+    after ``DEFAULT_T1``, ACT(row3) after ``DEFAULT_T2``; a device whose
+    tRAS or tRP does not exceed them raises TimingViolation. Other ACT orders, such
     as ACT(row1)->ACT(row2), run through :func:`execute_trace`. A bank left
     open follows the trace rules: another segment's open row raises
     DecoderError.

@@ -183,9 +183,10 @@ def stream_bits(device, layout, plan, n_bits, buffer=None, temperature=50.0,
 
     Iterations are numbered from ``start_iteration``, and each number fixes
     its words, on a multi-bin plan too: each iteration rewrites the source
-    rows a QUAC on a neighbouring segment overwrote. A caller making several requests must pass the returned
-    ``next_iteration`` back in: otherwise a later request replays words
-    already served (two fresh calls return identical bits).
+    rows a QUAC on a neighbouring segment overwrote. A caller making
+    several requests must pass the returned ``next_iteration`` back in:
+    otherwise a later request replays words already served (two fresh
+    calls return identical bits).
     """
     if n_bits <= 0:
         raise ValueError("n_bits must be > 0")
