@@ -9,6 +9,7 @@ JSON-compatible dict (``to_dict`` / ``from_dict``) and loads from a file with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict, fields, replace
 
 __all__ = [
@@ -194,6 +195,8 @@ class VariationProfile:
     trend_sign_fraction: float = 24.0 / 40.0
 
     def __post_init__(self):
+        for n in (f.name for f in fields(self) if f.name != "master_seed"):
+            _require(math.isfinite(getattr(self, n)), n, "must be finite")
         for name in ("sa_offset_sigma", "segment_weight_jitter_sigma"):
             _require(getattr(self, name) >= 0, name, "sigma must be >= 0")
         for name in ("thermal_noise_sigma", "first_row_weight",

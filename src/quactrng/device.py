@@ -64,6 +64,7 @@ class DecoderState:
 
     The four select lines are pure functions of the latches:
     S0 = A0b & A1b, S1 = A0 & A1b, S2 = A0b & A1, S3 = A0 & A1.
+    ``first_row`` is the row whose ACT found the latches clear.
     """
 
     a0: bool = False
@@ -72,6 +73,7 @@ class DecoderState:
     a1b: bool = False
     active_master_wordline: int | None = None
     wordline_enable_time: float | None = None
+    first_row: int | None = None
 
     def select_lines(self):
         return (self.a0b and self.a1b, self.a0 and self.a1b,
@@ -115,6 +117,7 @@ def decoder_step(state, command, now, timings):
             a1b=state.a1b or not bit1,
             active_master_wordline=master,
             wordline_enable_time=now,
+            first_row=state.first_row if state.any_latched else row,
         )
         return new, new.active_rows()
     if kind == "PRE":
@@ -367,6 +370,8 @@ class DeviceState:
 
     def temperature_adjust(self, temperature_c):
         """Multiplicative factor on deviation magnitude at a temperature."""
+        if not np.isfinite(temperature_c):
+            raise ValueError(f"temperature: {temperature_c} C is not finite")
         k = self.variation.temp_coefficient_per_chip
         return 1.0 - self.temperature_trend * k * (temperature_c - REFERENCE_TEMP_C)
 

@@ -70,15 +70,14 @@ def run_quac(device, segment, pattern=None, experiment_seed=0,
     """Perform one quadruple activation on a segment and return the sensed
     row-buffer bits (one per bitline).
 
-    When ``pattern`` is given the trace first writes the four rows with
-    its fills; with ``pattern=None`` the current cell contents are used
-    (e.g. after copy-based initialization). A segment outside the geometry
-    raises ConfigError before any write. The sequence is ACT(row0), PRE
-    after ``DEFAULT_T1``, ACT(row3) after ``DEFAULT_T2``; a device whose
-    tRAS or tRP does not exceed them raises TimingViolation. Other ACT orders, such
-    as ACT(row1)->ACT(row2), run through :func:`execute_trace`. A bank left
-    open follows the trace rules: another segment's open row raises
-    DecoderError.
+    With ``pattern`` the trace first writes the four rows with its fills;
+    with ``pattern=None`` the rows keep their contents. A segment outside
+    the geometry raises ConfigError before any write. The sequence is
+    ACT(row0), PRE after ``DEFAULT_T1``, ACT(row3) after ``DEFAULT_T2``; a
+    device whose tRAS or tRP does not exceed them raises TimingViolation.
+    Other ACT orders run through :func:`execute_trace`. In a bank left
+    open, another segment's open row raises DecoderError, and an open row
+    of this segment stays the first row.
     """
     t, t1, t2 = device.timings, DEFAULT_T1, DEFAULT_T2
     if t1 >= t.tRAS or t2 >= t.tRP:
@@ -143,37 +142,35 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
 
     A bank, ACT or WRITE_ROW row, COPY_ROW source or destination, or
     READ_BLOCK block outside the geometry raises ConfigError. Reads are only
-    legal while a row is open and tRCD has elapsed since the last ACT. Bus
-    accounting: every command occupies one command slot; READ_BLOCK and the
-    blocks of WRITE_ROW additionally occupy one data burst each; COPY_ROW
-    occupies an ACT-PRE-ACT slot triple.
+    legal while a row is open and tRCD has elapsed since the last ACT. The
+    first row sensed is the decoder's, whichever trace opened the bank. Bus
+    accounting: each command takes one command slot, READ_BLOCK and each
+    block of WRITE_ROW one data burst more, and COPY_ROW three slots.
     """
     t = device.timings
     result = TraceResult()
     last_time = {}       # (bg, bank) -> last issue time
-    first_open = {}      # (bg, bank) -> first activated row
     row_buffer = {}      # (bg, bank) -> bits sensed since the last ACT
     streams = {}         # (bg, bank, segment) -> noise stream of this trace
 
-    def sense(key, time):
+    def sense(key, state, time):
         """The bank's row buffer, sensed on the first call since its ACT
         and restored into every open row (they track the row buffer)."""
         if key in row_buffer:
             return row_buffer[key]
-        active = device.decoder(*key).active_rows()
-        segment = (*key, min(active) // 4)
+        segment = (*key, state.active_master_wordline)
         if segment not in streams:
             streams[segment] = stream(device.variation.master_seed,
                                       TAG_EXPERIMENT, experiment_seed,
                                       *segment)
-        threshold = device.sense_threshold(
-            *key, active, first_open.get(key, min(active)), temperature)
+        threshold = device.sense_threshold(*key, state.active_rows(),
+                                           state.first_row, temperature)
         raw = streams[segment].bit_generator.random_raw(
             device.geometry.bitlines_per_row)
         bits = row_buffer[key] = sample_sense_amp(threshold, raw)
         sensed = bits.astype(np.float32)
         sensed.flags.writeable = False
-        for row in active:
+        for row in state.active_rows():
             device.write_row(*key, row, sensed)
         result.sensed.append((time, key, bits))
         return bits
@@ -192,13 +189,9 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
             command = ("ACT", cmd.args[0]) if cmd.kind == "ACT" else ("PRE",)
             new_state, active = decoder_step(state, command, cmd.issue_time, t)
             if cmd.kind == "ACT":
-                if not state.any_latched:
-                    first_open[key] = cmd.args[0]
                 row_buffer.pop(key, None)
             elif not active and state.any_latched:
-                sense(key, cmd.issue_time)   # rows never read are sensed now
-                row_buffer.pop(key)
-                first_open.pop(key, None)
+                sense(key, state, cmd.issue_time)  # rows never read
             device.set_decoder(*key, new_state)
             result.bus_busy_ns += t.slot_time
             result.outcomes.append((cmd.issue_time, cmd.kind, active))
@@ -215,10 +208,9 @@ def execute_trace(device, commands, experiment_seed=0, temperature=50.0):
                 raise TimingViolation("READ_BLOCK with no open row")
             if cmd.issue_time - state.wordline_enable_time < t.tRCD:
                 raise TimingViolation("READ_BLOCK before tRCD elapsed")
-            block = cmd.args[0]
-            cb = device.geometry.cache_block_bits
-            bits = sense(key, cmd.issue_time)[block * cb:(block + 1) * cb]
-            result.payloads.append(bits.copy())
+            block, cb = cmd.args[0], device.geometry.cache_block_bits
+            bits = sense(key, state, cmd.issue_time)
+            result.payloads.append(bits[block * cb:(block + 1) * cb].copy())
             result.bus_busy_ns += t.slot_time + t.burst_time
             result.outcomes.append((cmd.issue_time, cmd.kind, None))
 

@@ -197,6 +197,23 @@ def test_malformed_config_is_an_error(tmp_path, capsys):
         "error: thermal_noise_sigma: must be > 0")
 
 
+@pytest.mark.parametrize("config, argv", [
+    (None, ["characterize", "--temperature", "nan"]),
+    (None, ["characterize", "--method", "analytic", "--temperature", "nan"]),
+    ({"temp_coefficient_per_chip": float("nan")},
+     ["characterize", "--method", "analytic"]),
+    ({"spatial_wave_amplitude": float("inf")}, ["device", "build"]),
+])
+def test_non_finite_input_is_an_error(tmp_path, capsys, config, argv):
+    if config:      # json writes NaN and Infinity, and reads them back
+        (tmp_path / "c.json").write_text(json.dumps({"variation": config}))
+        argv = ["--config", str(tmp_path / "c.json"), *argv]
+    assert run(tmp_path, *argv) == 1
+    assert {p.name for p in tmp_path.iterdir()} <= {"c.json"}
+    field = next(iter(config or {"temperature": None}))
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
 def test_domain_error_exit_code(tmp_path):
     assert run(tmp_path, "test", "--input",
                str(tmp_path / "missing.bin")) == 1

@@ -2,9 +2,8 @@
 charge sharing, and sense-amplifier sampling.
 """
 
-import itertools
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,17 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-import quactrng
 from quactrng.config import (ConfigError, DataPattern, DeviceConfig,
                              DramGeometry, SegmentAddress, TimingParams,
-                             VariationProfile, calibrated_variation)
-from quactrng.device import (EXTREMES_TABLE_ENTRIES, PARAM_CACHE_ENTRIES,
-                             DecoderError, DecoderState, build_device,
+                             calibrated_variation)
+from quactrng.device import (DecoderError, DecoderState, build_device,
                              charge_share_deviation, decoder_step,
                              raw_threshold, sample_sense_amp,
                              success_probability)
-from quactrng.entropy import characterize
-from quactrng.rng import TAG_EXPERIMENT, TAG_SEGMENT_PARAMS, stream
+from quactrng.rng import TAG_EXPERIMENT, stream
 
 
 # ---------------------------------------------------------------------------
@@ -283,134 +279,12 @@ def test_success_probability_matches_out_of_place_form(values, sigma, adjust,
 # device state
 # ---------------------------------------------------------------------------
 
-def test_segment_params_deterministic_and_order_independent():
-    dev_a = build_device(variation=calibrated_variation())
-    dev_b = build_device(variation=calibrated_variation())
-    addrs = [SegmentAddress(0, 0, i) for i in (5, 1, 9)]
-    params_a = {a.segment_index: dev_a.segment_params(a) for a in addrs}
-    for a in reversed(addrs):
-        p = dev_b.segment_params(a)
-        np.testing.assert_array_equal(p.sa_offset,
-                                      params_a[a.segment_index].sa_offset)
-        assert p.weight_multiplier == \
-            params_a[a.segment_index].weight_multiplier
-
-
 def test_different_seeds_give_different_params():
     a = build_device(variation=calibrated_variation(1))
     b = build_device(variation=calibrated_variation(2))
     addr = SegmentAddress(0, 0, 0)
     assert not np.array_equal(a.segment_params(addr).sa_offset,
                               b.segment_params(addr).sa_offset)
-
-
-def _reference_segment_params(variation, n, address):
-    """The draw as first written: N(0, 1) deviates times a sigma row, and
-    the multiplier jitter drawn as N(0, jitter)."""
-    v = variation
-    rng = stream(v.master_seed, TAG_SEGMENT_PARAMS, address.bank_group,
-                 address.bank, address.segment_index)
-    sigma = np.full(n, v.sa_offset_sigma)
-    if v.column_sigma_wave_amplitude:
-        sigma = sigma * (1.0 + v.column_sigma_wave_amplitude
-                         * np.sin(np.pi * np.arange(n) / n))
-    offsets = rng.normal(0.0, 1.0, n) * sigma
-    mult = 1.0 + rng.normal(0.0, v.segment_weight_jitter_sigma) \
-        + v.spatial_wave_amplitude * np.sin(
-            2.0 * np.pi * address.segment_index / v.spatial_wave_period)
-    return offsets, mult
-
-
-@pytest.mark.parametrize("variation", [
-    calibrated_variation(),
-    replace(calibrated_variation(), column_sigma_wave_amplitude=0.3),
-    replace(calibrated_variation(), segment_weight_jitter_sigma=0.0),
-], ids=["calibrated", "column_wave", "no_jitter"])
-def test_segment_params_match_reference_draw(variation):
-    device = build_device(variation=variation)
-    n = device.geometry.bitlines_per_row
-    for address in [SegmentAddress(bg, bank, seg) for bg, bank, seg in
-                    ((0, 0, 0), (0, 1, 1), (1, 2, 77), (2, 0, 300),
-                     (2, 3, 511), (3, 1, 4096), (3, 3, 8191))]:
-        params = device.segment_params(address)
-        offsets, mult = _reference_segment_params(variation, n, address)
-        assert params.sa_offset.tobytes() == offsets.tobytes()
-        assert np.float64(params.weight_multiplier).tobytes() == \
-            np.float64(mult).tobytes()
-
-
-FILLS = st.one_of(
-    st.sampled_from([p.fills for p in DataPattern.all_patterns()]),
-    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).map(
-        lambda f: np.array(f, dtype=np.float32)))
-
-
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 8191), FILLS,
-       st.integers(0, 3), st.booleans(), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_deviation_extremes_match_full_deviation(bank_group, bank, segment,
-                                                 fills, first_row,
-                                                 column_wave, extremes_first):
-    """The extremes are the full deviation's min and max, bit for bit,
-    whichever of the two lookups draws the segment."""
-    variation = calibrated_variation()
-    if column_wave:
-        variation = replace(variation, column_sigma_wave_amplitude=0.3)
-    device = build_device(variation=variation)
-    address = SegmentAddress(bank_group, bank, segment)
-    if extremes_first:
-        extremes = device.deviation_extremes(address, fills, first_row)
-    d = device.deviation(address, fills, first_row)
-    if not extremes_first:
-        extremes = device.deviation_extremes(address, fills, first_row)
-    assert extremes.tobytes() == np.array([d.min(), d.max()]).tobytes()
-
-
-def test_deviation_extremes_outlive_the_offsets_cache(monkeypatch):
-    device = build_device(variation=calibrated_variation())
-    addresses = [SegmentAddress(0, 1, s)
-                 for s in range(2 * PARAM_CACHE_ENTRIES + 5)]
-    fills = DataPattern("0111").fills
-    first = [device.deviation_extremes(a, fills, 2) for a in addresses]
-    assert len(device._param_cache) <= PARAM_CACHE_ENTRIES + 1
-    monkeypatch.setattr(device, "segment_params",
-                        lambda address: pytest.fail(f"{address} redrawn"))
-    again = [device.deviation_extremes(a, fills, 2) for a in addresses]
-    assert [e.tobytes() for e in again] == [e.tobytes() for e in first]
-
-
-def test_extremes_table_stays_within_its_bound(monkeypatch):
-    assert EXTREMES_TABLE_ENTRIES == DramGeometry().segments_per_bank
-    monkeypatch.setattr(quactrng.device, "EXTREMES_TABLE_ENTRIES", 5)
-    device = build_device(variation=calibrated_variation())
-    fills = DataPattern("1000").fills
-    addresses = [SegmentAddress(1, 2, s) for s in range(12)]
-    for a in addresses + addresses[::-1]:
-        extremes = device.deviation_extremes(a, fills)
-        assert len(device._extremes) <= 5
-        d = device.deviation(a, fills)
-        assert extremes.tobytes() == np.array([d.min(), d.max()]).tobytes()
-
-
-def test_extremes_table_leaves_exact_and_forked_paths_alone():
-    """A fork starts with empty caches, and the "exact" method, which
-    senses through forks, gives a fresh device's map on a device whose
-    table is already filled."""
-    segments = [3, 4]
-    fresh = build_device(variation=calibrated_variation())
-    expected = characterize(fresh, "0111", segments, trials=2,
-                            method="exact").bitline
-    assert not fresh._extremes
-    used = build_device(variation=calibrated_variation())
-    characterize(used, "0000", range(8))
-    fork = used.fork()
-    assert not fork._extremes and not fork._param_cache
-    assert characterize(used, "0111", segments, trials=2,
-                        method="exact").bitline.tobytes() == expected.tobytes()
-    address = SegmentAddress(0, 0, 5)
-    cells = np.stack([fork.read_cells(0, 0, r) for r in range(4)])
-    assert fork.deviation(address, cells).tobytes() == \
-        used.deviation(address, cells).tobytes()
 
 
 def test_temperature_adjust_trend():
@@ -462,46 +336,6 @@ def test_rows_are_read_only_and_not_aliased():
     assert dev.row_fill(0, 0, 12) == 1.0
     assert dev.row_fill(0, 0, 13) is None
     assert dev.row_fill(0, 0, 14) == 0.5
-
-
-@pytest.mark.parametrize("later_row_weight", [None, 1])
-def test_deviation_from_fills_matches_stacked_rows(later_row_weight):
-    """Constant fills give the same deviation, bit for bit, as the rows
-    they stand for: one lone ACT, a two-row partial open, a full QUAC."""
-    variation = calibrated_variation()
-    if later_row_weight is not None:
-        variation = replace(variation, later_row_weight=later_row_weight)
-    dev = build_device(variation=variation)
-    for address in (SegmentAddress(0, 0, 3), SegmentAddress(1, 2, 517),
-                    SegmentAddress(3, 3, 8191)):
-        bg, bank = address.bank_group, address.bank
-        for n_rows in (1, 2, 4):
-            rows = address.rows[:n_rows]
-            for fills in itertools.product((0, 0.5, 1), repeat=n_rows):
-                for row, fill in zip(rows, fills):
-                    dev.write_row(bg, bank, row, fill)
-                stacked = np.stack([dev.read_cells(bg, bank, r) for r in rows])
-                for first in range(n_rows):
-                    np.testing.assert_array_equal(
-                        dev.deviation(address, fills, first),
-                        dev.deviation(address, stacked, first))
-
-
-@pytest.mark.parametrize("fills", [(0, 1, 1, 1), (1, 0.5, 0, 1),
-                                   (0.3, 0.7, 0.7, 0.7)])
-def test_sense_probability_of_fills_matches_arrays(fills):
-    dev = build_device(variation=calibrated_variation())
-    arrays = dev.fork()
-    n = dev.geometry.bitlines_per_row
-    address = SegmentAddress(2, 1, 40)
-    for row, fill in zip(address.rows, fills):
-        dev.write_row(2, 1, row, fill)
-        arrays.write_row(2, 1, row, np.full(n, fill))
-    for first_row in address.rows:
-        for _ in range(2):      # a miss, then a cache hit
-            np.testing.assert_array_equal(
-                dev.sense_threshold(2, 1, address.rows, first_row, 60.0),
-                arrays.sense_threshold(2, 1, address.rows, first_row, 60.0))
 
 
 def test_validate_address_bounds():

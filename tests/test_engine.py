@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quactrng.config import (ConfigError, DramGeometry, SegmentAddress,
-                             TimingParams)
+from quactrng.config import ConfigError, SegmentAddress, TimingParams
 from quactrng import device as device_module
 from quactrng import engine
 from quactrng.device import DecoderError, build_device, sample_sense_amp
@@ -17,6 +16,7 @@ from quactrng import calibrated_variation
 from quactrng.entropy import characterize
 from quactrng.pipeline import (ReservedLayout, RngBuffer, generate_iteration,
                                stream_bits)
+from reference import SMALL, Reference, quac_commands
 
 
 @pytest.fixture()
@@ -201,43 +201,39 @@ def test_single_row_activation_reads_back_written_data(device):
 
 
 def test_read_senses_rows_left_open_by_earlier_trace(device):
-    """A READ on a row an earlier trace opened senses it, taking the lowest
-    open row as the first, like a READ in the trace that opened it.
-    """
-    t = device.timings
-    act = Command(0.0, "ACT", 0, 0, (40,))
-    read = Command(t.tRCD, "READ_BLOCK", 0, 0, (5,))
-    expected = execute_trace(device.fork(), [act, read])
-    execute_trace(device, [act])
+    """A READ on rows an earlier trace opened senses them as a READ in that
+    trace does: rows 40-43 hold (1, 0, 0, 0) and open with row 43 first."""
+    quac = quac_commands(SegmentAddress(0, 0, 10), "1000", 3, 0)
+    read = Command(9.0 + device.timings.tRCD, "READ_BLOCK", 0, 0, (5,))
+    expected = execute_trace(device.fork(), quac + [read])
+    execute_trace(device, quac)
     result = execute_trace(device, [read])
     np.testing.assert_array_equal(result.payloads[0], expected.payloads[0])
-    assert len(result.sensed) == 1
+    assert len(result.sensed) == 1 and expected.payloads[0].sum() == 0
 
 
 def test_run_quac_follows_rows_left_open(device):
     execute_trace(device, [Command(0.0, "ACT", 0, 0, (40,))])
     with pytest.raises(DecoderError, match="cross-segment"):
         run_quac(device, SEG, pattern="0111")
-    # a row of the same segment stays latched; the QUAC opens all four rows
+    # a row of the same segment stays latched and stays the first row
     other = device.fork()
-    execute_trace(other, [Command(0.0, "ACT", 0, 0, (SEG.base_row + 1,))])
+    ref = Reference(device.geometry, device.timings, device.variation)
+    left_open = [Command(0.0, "ACT", 0, 0, (SEG.base_row + 1,))]
+    execute_trace(other, left_open)
+    ref.run(left_open)
     np.testing.assert_array_equal(run_quac(other, SEG, pattern="0111"),
-                                  run_quac(device.fork(), SEG, pattern="0111"))
+                                  ref.quac(SEG, "0111"))
     assert other.decoder(0, 0).active_rows() == frozenset()
 
 
 def quac_trace(device, segment, pattern, first_row=0, start=0.0):
-    """One QUAC as a trace: the pattern's row writes (none for ``None``,
-    which keeps the rows' contents), ACT, early PRE, ACT, a READ_BLOCK of
-    every block of the row, and a closing PRE."""
-    bg, bank, base = segment.bank_group, segment.bank, segment.base_row
-    cmds = [Command(start + i, "WRITE_ROW", bg, bank, (row, int(fill)))
-            for i, (row, fill) in enumerate(zip(segment.rows, pattern or ""))]
-    act = start + 10.0
-    cmds += [Command(act, "ACT", bg, bank, (base + first_row,)),
-             Command(act + 2.5, "PRE", bg, bank),
-             Command(act + 5.0, "ACT", bg, bank, (base + 3 - first_row,))]
-    read = act + 5.0 + device.timings.tRCD
+    """One QUAC as a trace: the commands of ``quac_commands`` with the
+    second ACT on the complement row, a READ_BLOCK of every block of the
+    row, and a closing PRE."""
+    bg, bank = segment.bank_group, segment.bank
+    cmds = quac_commands(segment, pattern, first_row, 3 - first_row, start)
+    read = cmds[-1].issue_time + device.timings.tRCD
     blocks = device.geometry.blocks_per_row
     cmds += [Command(read + b, "READ_BLOCK", bg, bank, (b,))
              for b in range(blocks)]
@@ -286,106 +282,6 @@ def test_trace_quac_senses_once(device, monkeypatch):
 # ---------------------------------------------------------------------------
 # constant-fill sensing thresholds
 # ---------------------------------------------------------------------------
-
-SMALL = DramGeometry(bank_groups=2, banks_per_group=1, subarrays_per_bank=2,
-                     segments_per_bank=8, bitlines_per_row=8192)
-
-# A row spec: None keeps the row as it is (unwritten on first use), a
-# number writes that fill, an ("array", seed) tuple writes per-bitline bits.
-row_specs = st.one_of(
-    st.none(), st.sampled_from([0, 1, 0.5]),
-    st.tuples(st.just("array"), st.integers(0, 2 ** 16)))
-quac_steps = st.tuples(
-    st.integers(0, 3),                       # segment
-    st.integers(0, 1),                       # bank group
-    st.tuples(row_specs, row_specs, row_specs, row_specs),
-    st.integers(0, 1),                       # first_row
-    st.one_of(st.sampled_from([30.0, 50.0, 90.0]), st.floats(30.0, 90.0)),
-    st.integers(0, 3),                       # experiment seed
-)
-
-
-def _row_value(spec, n):
-    if isinstance(spec, tuple):
-        return np.random.default_rng(spec[1]).integers(0, 2, n).astype(float)
-    return spec
-
-
-def _fresh_copy(device, bank_group, rows):
-    """A fresh fork holding the same contents in ``rows``."""
-    fresh = device.fork()
-    for row in rows:
-        fill = device.row_fill(bank_group, 0, row)
-        fresh.write_row(bank_group, 0, row,
-                        device.read_cells(bank_group, 0, row)
-                        if fill is None else fill)
-    return fresh
-
-
-FILLS_0111 = (0, 1, 1, 1)
-
-
-@given(st.lists(quac_steps, min_size=1, max_size=8))
-@example([(1, 0, (None,) * 4, 0, 50.0, 0)] * 2)           # unwritten rows
-@example([(2, 0, (("array", 1), 1, 1, 1), 0, 50.0, 0),    # one key, two
-          (2, 0, (("array", 2), 1, 1, 1), 0, 50.0, 0)])   # per-bitline rows
-@example([(2, 1, FILLS_0111, 0, 50.0, 1),                  # repeat, then
-          (2, 1, FILLS_0111, 0, 50.0, 2),                  # new temperature,
-          (2, 1, FILLS_0111, 0, 90.0, 2),                  # other first row,
-          (2, 1, FILLS_0111, 1, 90.0, 2),                  # back again
-          (2, 1, FILLS_0111, 0, 50.0, 3)])
-@settings(max_examples=40, deadline=None)
-def test_cached_sensing_matches_fresh_device(steps):
-    device = build_device(SMALL, variation=calibrated_variation())
-    n = SMALL.bitlines_per_row
-    for segment, bank_group, specs, first_row, temperature, seed in steps:
-        address = SegmentAddress(bank_group, 0, segment)
-        for row, spec in zip(address.rows, specs):
-            if spec is not None:
-                device.write_row(bank_group, 0, row, _row_value(spec, n))
-        fresh = _fresh_copy(device, bank_group, address.rows)
-        cmds = quac_trace(device, address, None, first_row)
-        np.testing.assert_array_equal(
-            execute_trace(device, cmds, seed, temperature).payload_bits(),
-            execute_trace(fresh, cmds, seed, temperature).payload_bits())
-        # at most one kept threshold per bank touched
-        assert set(device._bank_thresholds) <= {(s[1], 0) for s in steps}
-
-
-def test_per_bitline_write_is_not_served_from_cache(device):
-    n = device.geometry.bitlines_per_row
-    cached = run_quac(device, SEG, pattern="0111", experiment_seed=2)
-    # the same fills, but row 0 rewritten per bitline before the second QUAC
-    for row, fill in zip(SEG.rows, FILLS_0111):
-        device.write_row(0, 0, row, fill)
-    device.write_row(0, 0, SEG.rows[0], np.ones(n))
-    fresh = _fresh_copy(device, 0, SEG.rows)
-    bits = run_quac(device, SEG, experiment_seed=2)
-    np.testing.assert_array_equal(bits, run_quac(fresh, SEG, experiment_seed=2))
-    assert bits.mean() > 0.99 and cached.mean() < 0.05
-
-
-def test_trace_quac_reuses_cached_fills(device):
-    t = device.timings
-    cmds = [
-        Command(0.0, "WRITE_ROW", 0, 0, (12, 0)),
-        Command(100.0, "WRITE_ROW", 0, 0, (13, 1)),
-        Command(200.0, "WRITE_ROW", 0, 0, (14, 1)),
-        Command(300.0, "WRITE_ROW", 0, 0, (15, 1)),
-        Command(400.0, "ACT", 0, 0, (12,)),
-        Command(402.5, "PRE", 0, 0),
-        Command(405.0, "ACT", 0, 0, (15,)),
-        Command(405.0 + t.tRCD, "READ_BLOCK", 0, 0, (0,)),
-        Command(500.0, "PRE", 0, 0),
-    ]
-    expected = execute_trace(device.fork(), cmds).payload_bits()
-    # the segment's "0111" fills are cached; the trace senses its four rows
-    run_quac(device, SEG, pattern="0111")
-    for _ in range(2):
-        got = execute_trace(device, cmds).payload_bits()
-        np.testing.assert_array_equal(got, expected)
-    assert all(device.row_fill(0, 0, row) is None for row in SEG.rows)
-
 
 @pytest.fixture()
 def threshold_computations(monkeypatch):

@@ -12,8 +12,8 @@ from scipy.special import ndtr
 
 import quactrng.device
 from quactrng import build_device, calibrated_variation, entropy
-from quactrng.config import ConfigError, DataPattern, DramGeometry, \
-    SegmentAddress, VariationProfile
+from quactrng.config import ConfigError, DataPattern, SegmentAddress, \
+    VariationProfile
 from quactrng.device import PROBIT_SATURATION, DeviceState
 from quactrng.entropy import (EntropyMap, SibPlan, binary_entropy,
                               bitline_entropy, build_sib_plan, characterize,
@@ -152,48 +152,6 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def without_shortcut(monkeypatch, *args, **kwargs):
-    """``characterize`` with the saturation check forced off."""
-    with monkeypatch.context() as m:
-        m.setattr(entropy, "_saturated_probability", lambda *a: None)
-        return characterize(*args, **kwargs)
-
-
-@pytest.mark.parametrize("method", ["binomial", "analytic"])
-@pytest.mark.parametrize("temperature", [30.0, 50.0, 90.0])
-def test_saturation_shortcut_keeps_map_bytes(device, monkeypatch, method,
-                                             temperature):
-    """Every pattern's map is the same with and without the check, and the
-    check takes the shortcut for most patterns."""
-    segments = range(0, 1024, 128)
-    probit_calls = count_calls(monkeypatch, entropy, "success_probability")
-    shortcuts = 0
-    for pattern in DataPattern.all_patterns():
-        before = len(probit_calls)
-        fast = characterize(device, pattern, segments, method=method,
-                            temperature=temperature)
-        shortcuts += len(segments) - (len(probit_calls) - before)
-        slow = without_shortcut(monkeypatch, device, pattern, segments,
-                                method=method, temperature=temperature)
-        assert fast.bitline.tobytes() == slow.bitline.tobytes(), pattern
-    assert shortcuts >= 12 * len(segments)
-
-
-SMALL = DramGeometry(bank_groups=2, banks_per_group=1, subarrays_per_bank=2,
-                     segments_per_bank=8, bitlines_per_row=8192)
-
-
-def test_saturated_exact_map_matches_binomial(monkeypatch):
-    """The explicit activation loop senses a saturated pattern's value on
-    every trial: its map has the bytes of the shortcut's."""
-    device = build_device(SMALL, variation=calibrated_variation())
-    probit_calls = count_calls(monkeypatch, entropy, "success_probability")
-    fast = characterize(device, "1011", range(4), trials=20)
-    assert probit_calls == []
-    slow = characterize(device, "1011", range(4), trials=20, method="exact")
-    assert fast.bitline.tobytes() == slow.bitline.tobytes()
-
-
 @given(st.floats(max_value=-PROBIT_SATURATION),
        st.floats(min_value=PROBIT_SATURATION))
 @example(-1e300, 1e300)
@@ -203,23 +161,6 @@ def test_saturated_exact_map_matches_binomial(monkeypatch):
 def test_ndtr_saturates_past_the_margin(low, high):
     assert ndtr(low) == 0.0
     assert ndtr(high) == 1.0
-
-
-@pytest.mark.parametrize("method", ["binomial", "analytic"])
-@pytest.mark.parametrize("offset_c", [500.0, 600.0])
-def test_no_shortcut_without_positive_adjust(device, monkeypatch, method,
-                                             offset_c):
-    """A temperature that zeroes or flips the deviation's sign always takes
-    the full probit path."""
-    temperature = 50.0 + device.temperature_trend * offset_c
-    assert device.temperature_adjust(temperature) <= 0.0
-    probit_calls = count_calls(monkeypatch, entropy, "success_probability")
-    emap = characterize(device, "1011", range(4), method=method,
-                        temperature=temperature)
-    assert len(probit_calls) == 4
-    slow = without_shortcut(monkeypatch, device, "1011", range(4),
-                            method=method, temperature=temperature)
-    assert emap.bitline.tobytes() == slow.bitline.tobytes()
 
 
 def test_sweep_draws_offsets_only_for_random_patterns(monkeypatch):
@@ -301,18 +242,6 @@ def test_spatial_profile_mid_segment_peak():
     curve = spatial_profile(emap)["block_curve"]
     peak_block = int(np.argmax(curve))
     assert 128 / 3 <= peak_block <= 2 * 128 / 3
-
-
-@pytest.mark.parametrize("method", ["analytic", "exact"])
-def test_integer_row_weights_match_float(method):
-    """A profile loaded from JSON may carry integer weights; they must
-    not truncate the first-row weight in the charge-sharing kernel.
-    """
-    maps = [characterize(build_device(variation=VariationProfile(
-                first_row_weight=3.1526, later_row_weight=later)),
-            "0111", [3], trials=2, method=method).bitline
-            for later in (1, 1.0)]
-    np.testing.assert_array_equal(maps[0], maps[1])
 
 
 def test_spatial_profile_needs_two_segments(device):

@@ -1,7 +1,9 @@
 """Tooling tests: the benchmark's span tracer can find what it wraps and
 sees those functions called, sensing has the one caller it wraps, cells
-are written on one path, and its buffer subclass still counts spills."""
+are written on one path, its buffer subclass still counts spills, and the
+reference model stays apart from the production paths it checks."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from quactrng import build_device, calibrated_variation
 from quactrng.entropy import build_sib_plan, characterize
 from quactrng.pipeline import ReservedLayout, generate_iteration, stream_bits
+from conftest import _callers
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -93,3 +96,16 @@ def test_spill_counting_buffer_counts_spills(run):
     assert buffer.spilled > 0
     assert buffer.events
     assert all(kind == "refill" for kind, _ in buffer.events)
+
+
+def test_reference_model_calls_no_production_path():
+    """``tests/reference.py`` calls none of the paths it checks, so that one
+    fault cannot hide in both; pure helpers such as ``stream``,
+    ``decoder_step`` and ``binary_entropy`` stay allowed."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    assert not [name for name in (
+        "segment_params", "deviation", "deviation_extremes",
+        "sense_threshold", "raw_threshold", "sample_sense_amp",
+        "success_probability", "_saturated_probability", "bitline_entropy",
+        "execute_trace", "run_quac", "copy_row", "characterize")
+        if _callers(tree, name)]
